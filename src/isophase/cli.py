@@ -9,14 +9,14 @@ plain output is for humans.  Exit codes: 0 success, 1 property-suite failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Optional
 
 from . import edgegraph, experiments, moments, rado, thresholds, verify
-from .errors import BudgetExceededError, IsophaseError
+from .errors import BudgetExceededError, InvalidInputError, IsophaseError
 from .graphs import EdgeLaw, Graph, read_graph, sample_gnp, to_text
 from .isosearch import (
     BUDGET_EXCEEDED,
@@ -186,8 +186,6 @@ def cmd_region(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.workers is not None:
-        moments.set_enumeration_workers(args.workers)
     params = thresholds.derive_params(args.p, args.q)
     variant = edgegraph.EMBEDDING if args.variant == "embed" else edgegraph.COMMON
     n, m = args.n, args.m
@@ -267,9 +265,7 @@ def cmd_experiment(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.workers is not None:
-        config = experiments.ExperimentConfig(
-            **{**_config_kwargs(config), "workers": args.workers}
-        )
+        config = dataclasses.replace(config, workers=args.workers)
     if config.q_overridden:
         print("warning: embed sweep with q != 1/2 is outside the sharp-transition hypothesis",
               file=sys.stderr)
@@ -292,25 +288,15 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _config_kwargs(config: experiments.ExperimentConfig) -> dict:
-    return {
-        "problem": config.problem,
-        "n_values": config.n_values,
-        "p": config.p,
-        "q": config.q,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "workers": config.workers,
-        "node_budget": config.node_budget,
-        "m_values": config.m_values,
-        "m_offsets": config.m_offsets,
-        "csv_path": config.csv_path,
-        "jsonl_path": config.jsonl_path,
-        "q_overridden": config.q_overridden,
-    }
+RADO_ARITY = {"adjacent": 2, "encode": 1, "decode": 1, "witness": 0}
 
 
 def cmd_rado(args) -> int:
+    want = RADO_ARITY[args.action]
+    if len(args.args) != want:
+        raise InvalidInputError(
+            f"rado {args.action} takes {want} positional argument(s), got {len(args.args)}"
+        )
     if args.action == "adjacent":
         a, b = int(args.args[0]), int(args.args[1])
         adjacent = rado.bit_adjacent(a, b)
@@ -324,14 +310,12 @@ def cmd_rado(args) -> int:
         s = rado.ackermann_decode(int(args.args[0]))
         _emit({"code": args.args[0], "set": repr(s)}, args.json)
         return EXIT_OK
-    if args.action == "witness":
-        u_set = {int(v) for v in args.adjacent.split(",") if v != ""}
-        v_set = {int(v) for v in args.nonadjacent.split(",") if v != ""}
-        z = rado.extension_witness(u_set, v_set)
-        _emit({"adjacent_to": sorted(u_set), "nonadjacent_to": sorted(v_set), "witness": str(z)},
-              args.json)
-        return EXIT_OK
-    raise IsophaseError(f"unknown rado action {args.action!r}")
+    u_set = {int(v) for v in args.adjacent.split(",") if v != ""}
+    v_set = {int(v) for v in args.nonadjacent.split(",") if v != ""}
+    z = rado.extension_witness(u_set, v_set)
+    _emit({"adjacent_to": sorted(u_set), "nonadjacent_to": sorted(v_set), "witness": str(z)},
+          args.json)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=("embed", "common"), default="common")
     sp.add_argument("--c", type=float, default=0.75, help="split constant")
     sp.add_argument("--guard", type=int, default=moments.DEFAULT_PAIR_GUARD)
-    sp.add_argument("--first-only", action="store_true", help="skip the pair enumeration")
+    sp.add_argument("--first-only", action="store_true", help="skip the pair census")
     sp.add_argument("--decompose", action="store_true", help="per-class ratio breakdown")
-    sp.add_argument("--workers", type=int, help="threads for the pair enumeration")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_moments)
 
@@ -404,12 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="run a Monte Carlo sweep from a JSON config")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("ISO_PHASE_WORKERS", "0")) or None)
+    sp.add_argument("--workers", type=int, help="sweep workers (overrides the config)")
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("rado", help="universal-graph queries")
-    sp.add_argument("action", choices=("adjacent", "encode", "decode", "witness"))
+    sp.add_argument("action", choices=tuple(RADO_ARITY))
     sp.add_argument("args", nargs="*")
     sp.add_argument("--adjacent", default="", help="comma list for witness")
     sp.add_argument("--nonadjacent", default="", help="comma list for witness")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -35,6 +35,11 @@ MAX_UNKNOWN_SHARE = 0.05
 WILSON_Z = 1.96  # 95% interval
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a config is a typo, not a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -54,6 +59,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in (PROBLEM_EMBED, PROBLEM_COMMON):
             raise InvalidInputError(f"unknown problem {self.problem!r}")
+        for name in ("trials", "master_seed", "workers", "node_budget"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("n_values", "m_values", "m_offsets"):
+            values = getattr(self, name)
+            if values is not None and not all(map(_is_int, values)):
+                raise InvalidInputError(f"{name} entries must be integers, got {values!r}")
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float)):
+                raise InvalidInputError(f"{name} must be a number, got {value!r}")
+        for name in ("csv_path", "jsonl_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise InvalidInputError(f"{name} must be a path string, got {value!r}")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial per cell")
         if not (0.0 < self.p < 1.0) or not (0.0 < self.q < 1.0):
@@ -87,17 +108,24 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+
+        def sizes(key: str) -> tuple:
+            value = raw.get(key, [])
+            if not isinstance(value, list):
+                raise InvalidInputError(f"{key} must be a JSON list, got {value!r}")
+            return tuple(value)
+
         return cls(
             problem=problem,
-            n_values=tuple(raw.get("n_values", ())),
+            n_values=sizes("n_values"),
             p=raw.get("p", 0.5),
             q=q,
             trials=raw.get("trials", 200),
             master_seed=raw.get("master_seed", 0),
             workers=raw.get("workers", 1),
             node_budget=raw.get("node_budget", 10**8),
-            m_values=tuple(raw["m_values"]) if "m_values" in raw else None,
-            m_offsets=tuple(raw["m_offsets"]) if "m_offsets" in raw else None,
+            m_values=sizes("m_values") if "m_values" in raw else None,
+            m_offsets=sizes("m_offsets") if "m_offsets" in raw else None,
             csv_path=raw.get("csv_path"),
             jsonl_path=raw.get("jsonl_path"),
             q_overridden=q_overridden,
@@ -142,22 +170,7 @@ class CellResult:
         return self.trials - self.successes - self.unknowns
 
     def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "q": self.q,
-            "trials": self.trials,
-            "successes": self.successes,
-            "unknowns": self.unknowns,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "mean_nodes": self.mean_nodes,
-            "wall_ms": self.wall_ms,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

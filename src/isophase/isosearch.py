@@ -72,13 +72,6 @@ class PartialInjection:
     def m(self) -> int:
         return len(self.domain)
 
-    def range_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.image))
-
-    def subset_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The matched vertex subsets (domain side, range side)."""
-        return self.domain, self.range_set()
-
 
 @dataclass(frozen=True)
 class SearchOutcome:

@@ -1,10 +1,17 @@
 """Exact moments, overlap-class cardinalities and finite-size bounds.
 
 The first moment of the number of matchings has a closed form; the second
-moment is evaluated exactly by enumerating ordered pairs of maps, building
-each pair graph and multiplying the census factors (the component
-decomposition).  Enumeration work is shared through a cache keyed by the
-overlap statistics, so one sweep over map pairs serves every (p, q).
+moment is evaluated exactly from the census of pair graphs (the component
+decomposition), multiplying the census factors of each class.
+
+The census is built from one map instead of all ordered pairs.  Relabeling
+the host (S_n, for total injections) or both graphs (S_n x S_n, for partial
+injections) acts transitively on the maps and carries every pair graph to an
+isomorphic one with the same overlap statistics.  So each map f sees the same
+multiset of censuses over its partners g as the identity map on {0..m-1}
+does, and the census over all ordered pairs is |maps| times the identity's
+census.  Counts stay exact integers, and the cache keyed by the overlap
+statistics serves every (p, q).
 
 Overlap classes:
 
@@ -24,8 +31,6 @@ and exponentiated once; big sums go through math.fsum.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -37,20 +42,6 @@ from .isosearch import Injection, PartialInjection
 from .thresholds import ModelParams, derive_params, in_admissible_region
 
 DEFAULT_PAIR_GUARD = 10**7
-
-_enumeration_workers = max(1, int(os.environ.get("ISO_PHASE_WORKERS", "1") or 1))
-
-
-def set_enumeration_workers(count: int) -> None:
-    """Worker count for the pair-enumeration sweeps.
-
-    The sweep is partitioned by first-map index ranges and the per-chunk
-    censuses are merged in chunk order; counts are exact integers, so the
-    result never depends on the worker count or scheduling.
-    """
-    global _enumeration_workers
-    _enumeration_workers = max(1, count)
-
 
 # ---------------------------------------------------------------------------
 # integer combinatorics
@@ -190,42 +181,25 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# census of pair graphs over full enumerations (shared, (p,q)-independent)
+# census of pair graphs over all ordered map pairs (shared, (p,q)-independent)
 
 Sig = tuple[tuple[int, int, int], ...]
 
 
-def _scan_pairs(maps: list, classify: Callable) -> Callable[[range], dict]:
-    def scan(rows: range) -> dict:
-        buckets: dict = {}
-        for i in rows:
-            f = maps[i]
-            for g in maps:
-                key, entry = classify(f, g)
-                inner = buckets.setdefault(key, {})
-                inner[entry] = inner.get(entry, 0) + 1
-        return buckets
+def _identity_census(maps: list, identity, classify: Callable) -> dict:
+    """Census of all ordered pairs of maps, from the pairs (identity, g).
 
-    return scan
-
-
-def _census_sweep(maps: list, classify: Callable) -> dict:
-    """Sweep all ordered map pairs, partitioned by first-map index ranges."""
-    scan = _scan_pairs(maps, classify)
-    workers = _enumeration_workers
-    if workers == 1 or len(maps) < 2 * workers:
-        return scan(range(len(maps)))
-    bounds = [len(maps) * k // workers for k in range(workers + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(scan, chunks))
-    merged: dict = {}
-    for part in partials:
-        for key, inner in part.items():
-            dest = merged.setdefault(key, {})
-            for entry, cnt in inner.items():
-                dest[entry] = dest.get(entry, 0) + cnt
-    return merged
+    Exact because relabeling acts transitively on the maps and preserves the
+    pair graph up to isomorphism (see the module docstring).
+    """
+    buckets: dict = {}
+    for g in maps:
+        key, entry = classify(identity, g)
+        inner = buckets.setdefault(key, {})
+        inner[entry] = inner.get(entry, 0) + 1
+    orbit = len(maps)
+    return {key: {entry: cnt * orbit for entry, cnt in inner.items()}
+            for key, inner in buckets.items()}
 
 
 @lru_cache(maxsize=32)
@@ -238,7 +212,7 @@ def _embedding_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, i
         prof = edgegraph.classify_components(edgegraph.build_embedding_edge_graph(f, g, m, n))
         return (prof.r, prof.ell), (prof.census_signature(), prof.n_components)
 
-    return _census_sweep(maps, classify)
+    return _identity_census(maps, Injection(m, n, tuple(range(m))), classify)
 
 
 @lru_cache(maxsize=32)
@@ -255,7 +229,7 @@ def _common_census(n: int, m: int) -> dict[tuple[int, int], dict[Sig, int]]:
         prof = edgegraph.classify_components(edgegraph.build_common_edge_graph(f, g))
         return (prof.d, prof.r), prof.census_signature()
 
-    return _census_sweep(maps, classify)
+    return _identity_census(maps, PartialInjection(tuple(range(m)), tuple(range(m))), classify)
 
 
 def _check_guard(pairs: int, guard: int) -> None:
@@ -348,7 +322,7 @@ def s_bound(
 ) -> MomentBounds:
     """Majorant S of E N^2/(E N)^2 for the embedding problem.
 
-    exact mode enumerates map pairs:
+    exact mode sums the pair census:
 
         S = (n)_m^{-2} sum_r 2^{C(r,2)} sum_{H_r} phat^{C(m,2) - #components},
 

@@ -3,7 +3,9 @@
 Everything here recomputes quantities from first principles - enumerating
 graphs, injections or subset pairs directly - and never touches the pair
 graph census, the closed-form cardinalities, or the solvers' pruning logic,
-so agreement with the library is meaningful evidence.
+so agreement with the library is meaningful evidence.  The one exception,
+`census_all_pairs`, takes the caller's pair classifier and checks only the
+library's use of relabeling symmetry, by sweeping every ordered pair.
 """
 
 from __future__ import annotations
@@ -149,6 +151,21 @@ def overlap_histogram_common(n: int, m: int) -> dict[tuple[int, int, int], int]:
                 if c:
                     hist[(d, r, ell)] = c
     return hist
+
+
+# ---------------------------------------------------------------------------
+# census over every ordered map pair (reference for the identity-map census)
+
+def census_all_pairs(maps: list, classify) -> dict:
+    """key -> {entry: count} over all ordered pairs (f, g) of maps, where
+    classify(f, g) returns (key, entry)."""
+    buckets: dict = {}
+    for f in maps:
+        for g in maps:
+            key, entry = classify(f, g)
+            inner = buckets.setdefault(key, {})
+            inner[entry] = inner.get(entry, 0) + 1
+    return buckets
 
 
 # ---------------------------------------------------------------------------

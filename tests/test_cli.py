@@ -148,3 +148,28 @@ def test_rado_actions(capsys):
 def test_usage_errors(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "sample", "--n", "5", "--p", "1.5")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adjacent",),
+        ("adjacent", "1"),
+        ("adjacent", "1", "2", "3"),
+        ("encode",),
+        ("encode", "{}", "{}"),
+        ("decode",),
+        ("decode", "1", "2"),
+        ("witness", "1"),
+    ],
+)
+def test_rado_wrong_argument_count(capsys, argv):
+    code, out, err = run_cli(capsys, "rado", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: rado {argv[0]} takes ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_moments_workers_flag_removed(capsys):
+    code, _, err = run_cli(capsys, "moments", "--n", "4", "--m", "2", "--workers", "2")
+    assert code == 2 and "unrecognized arguments: --workers" in err

@@ -59,6 +59,38 @@ def test_config_validation():
         ExperimentConfig.from_json('{"problem": "embed", "n_values": [8], "m_values": [2], "bogus": 1}')
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", "5"),
+        ("trials", 5.0),
+        ("trials", True),
+        ("workers", True),
+        ("workers", "2"),
+        ("master_seed", None),
+        ("node_budget", 1e6),
+        ("n_values", ["8"]),
+        ("n_values", [8, False]),
+        ("n_values", 8),
+        ("m_values", [2.0]),
+        ("m_values", None),
+        ("m_offsets", [True]),
+        ("p", "0.5"),
+        ("p", True),
+        ("q", None),
+        ("csv_path", 5),
+        ("jsonl_path", ["out.jsonl"]),
+    ],
+)
+def test_config_rejects_wrong_types(field, value):
+    raw = {"problem": "embed", "n_values": [8], "m_values": [2], "p": 0.5}
+    if field == "m_offsets":
+        del raw["m_values"]
+    raw[field] = value
+    with pytest.raises(InvalidInputError, match=rf"^{field} "):
+        ExperimentConfig.from_json(json.dumps(raw))
+
+
 def test_config_q_override_flag():
     cfg = ExperimentConfig.from_json(
         '{"problem": "embed", "n_values": [8], "m_values": [2], "p": 0.5, "q": 0.3}'

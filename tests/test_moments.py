@@ -1,13 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 import oracles
 from isophase import moments
-from isophase.edgegraph import build_common_edge_graph, classify_components, pair_moment
+from isophase.edgegraph import (
+    build_common_edge_graph,
+    build_embedding_edge_graph,
+    classify_components,
+    pair_moment,
+)
 from isophase.errors import ParameterError, RegionError, ScaleError, SymmetryError
-from isophase.isosearch import PartialInjection
+from isophase.isosearch import Injection, PartialInjection
 from isophase.moments import (
     bound_H_drl,
     bound_H_r_ell,
@@ -352,22 +358,35 @@ def test_ratio_at_least_one_everywhere():
                 assert ratio >= 1.0 - 1e-10, (n, m, p, q)
 
 
-def test_census_identical_across_worker_counts():
-    params = derive_params(0.35, 0.65)
-    moments._common_census.cache_clear()
-    moments.set_enumeration_workers(1)
-    serial = second_moment_exact(4, 2, params, "common")
-    census_serial = moments._common_census(4, 2)
-    moments._common_census.cache_clear()
-    moments.set_enumeration_workers(3)
-    try:
-        threaded = second_moment_exact(4, 2, params, "common")
-        census_threaded = moments._common_census(4, 2)
-    finally:
-        moments.set_enumeration_workers(1)
+def _classify_embedding(f, g):
+    prof = classify_components(build_embedding_edge_graph(f, g, f.m, f.n))
+    return (prof.r, prof.ell), (prof.census_signature(), prof.n_components)
+
+
+def _classify_common(f, g):
+    prof = classify_components(build_common_edge_graph(f, g))
+    return (prof.d, prof.r), prof.census_signature()
+
+
+def test_census_equals_all_pairs_oracle():
+    # The identity-map census, scaled by the number of maps, must equal the
+    # sweep over every ordered pair, bucket for bucket and count for count.
+    for n, m in [(3, 2), (4, 2), (4, 3)]:
+        maps = [
+            PartialInjection(dom, img)
+            for dom in combinations(range(n), m)
+            for img in permutations(range(n), m)
+        ]
         moments._common_census.cache_clear()
-    assert census_serial == census_threaded
-    assert serial == threaded
+        assert moments._common_census(n, m) == oracles.census_all_pairs(
+            maps, _classify_common
+        ), (n, m)
+    for n, m in [(4, 3), (5, 3)]:
+        maps = [Injection(m, n, img) for img in permutations(range(n), m)]
+        moments._embedding_census.cache_clear()
+        assert moments._embedding_census(n, m) == oracles.census_all_pairs(
+            maps, _classify_embedding
+        ), (n, m)
 
 
 def test_tau_power_inequalities():
