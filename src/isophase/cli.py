@@ -9,14 +9,13 @@ plain output is for humans.  Exit codes: 0 success, 1 property-suite failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from typing import Optional
 
 from . import edgegraph, experiments, moments, rado, thresholds, verify
-from .errors import BudgetExceededError, InvalidInputError, IsophaseError
+from .errors import BudgetExceededError, InvalidInputError, IsophaseError, ScaleError
 from .graphs import EdgeLaw, Graph, read_graph, sample_gnp, to_text
 from .isosearch import (
     BUDGET_EXCEEDED,
@@ -33,6 +32,15 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _printable(value: int, what: str) -> int:
+    """value, if Python will write it in decimal; else a ScaleError."""
+    # Python versions before 3.10.7 have no limit on int-to-str conversion.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and abs(value) >= 10**digits:
+        raise ScaleError(f"{what} has more than {digits} decimal digits")
+    return value
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -199,7 +207,7 @@ def cmd_moments(args) -> int:
         "n": n,
         "m": m,
         "variant": args.variant,
-        "pair_space": space,
+        "pair_space": _printable(space, f"the pair space of n={n}, m={m}"),
         "expected": {"log": log_en, "value": math.exp(log_en)},
     }
     if not args.first_only:
@@ -261,11 +269,9 @@ def cmd_experiment(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = experiments.ExperimentConfig.from_json(fh.read())
-    except (OSError, IsophaseError) as exc:
+    except (OSError, UnicodeDecodeError, IsophaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
     if config.q_overridden:
         print("warning: embed sweep with q != 1/2 is outside the sharp-transition hypothesis",
               file=sys.stderr)
@@ -291,6 +297,13 @@ def cmd_experiment(args) -> int:
 RADO_ARITY = {"adjacent": 2, "encode": 1, "decode": 1, "witness": 0}
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def cmd_rado(args) -> int:
     want = RADO_ARITY[args.action]
     if len(args.args) != want:
@@ -298,21 +311,22 @@ def cmd_rado(args) -> int:
             f"rado {args.action} takes {want} positional argument(s), got {len(args.args)}"
         )
     if args.action == "adjacent":
-        a, b = int(args.args[0]), int(args.args[1])
+        a, b = (_parse_int(v, "rado adjacent vertex") for v in args.args)
         adjacent = rado.bit_adjacent(a, b)
         _emit({"a": a, "b": b, "adjacent": adjacent}, args.json)
         return EXIT_OK
     if args.action == "encode":
         s = rado.parse_set_literal(args.args[0])
-        _emit({"set": repr(s), "code": str(rado.ackermann_encode(s))}, args.json)
+        code = _printable(rado.ackermann_encode(s), "the code")
+        _emit({"set": repr(s), "code": str(code)}, args.json)
         return EXIT_OK
     if args.action == "decode":
-        s = rado.ackermann_decode(int(args.args[0]))
+        s = rado.ackermann_decode(_parse_int(args.args[0], "rado decode code"))
         _emit({"code": args.args[0], "set": repr(s)}, args.json)
         return EXIT_OK
-    u_set = {int(v) for v in args.adjacent.split(",") if v != ""}
-    v_set = {int(v) for v in args.nonadjacent.split(",") if v != ""}
-    z = rado.extension_witness(u_set, v_set)
+    u_set = {_parse_int(v, "--adjacent entry") for v in args.adjacent.split(",") if v != ""}
+    v_set = {_parse_int(v, "--nonadjacent entry") for v in args.nonadjacent.split(",") if v != ""}
+    z = _printable(rado.extension_witness(u_set, v_set), "the witness")
     _emit({"adjacent_to": sorted(u_set), "nonadjacent_to": sorted(v_set), "witness": str(z)},
           args.json)
     return EXIT_OK
@@ -387,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="run a Monte Carlo sweep from a JSON config")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--workers", type=int, help="sweep workers (overrides the config)")
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("rado", help="universal-graph queries")
@@ -409,10 +422,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except IsophaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (IsophaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,7 @@
 
 Every trial derives its seed by folding (master_seed, n, m, trial, stream)
 through splitmix64, so tallies depend only on the configuration, never on
-scheduling or worker count.  Budget-exceeded trials are tallied as unknowns
+the order cells run in.  Budget-exceeded trials are tallied as unknowns
 and excluded from the success estimate; a sweep where any cell has more than
 5% unknowns is flagged invalid, because the transition statements concern
 true existence rather than solver give-ups.
@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError, ParameterError
@@ -48,18 +47,16 @@ class ExperimentConfig:
     q: float
     trials: int = 200
     master_seed: int = 0
-    workers: int = 1
     node_budget: int = 10**8
     m_values: Optional[tuple[int, ...]] = None
     m_offsets: Optional[tuple[int, ...]] = None
     csv_path: Optional[str] = None
     jsonl_path: Optional[str] = None
-    q_overridden: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.problem not in (PROBLEM_EMBED, PROBLEM_COMMON):
             raise InvalidInputError(f"unknown problem {self.problem!r}")
-        for name in ("trials", "master_seed", "workers", "node_budget"):
+        for name in ("trials", "master_seed", "node_budget"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
@@ -83,8 +80,6 @@ class ExperimentConfig:
             raise InvalidInputError("n_values must be nonempty")
         if (self.m_values is None) == (self.m_offsets is None):
             raise InvalidInputError("give exactly one of m_values / m_offsets")
-        if self.workers < 1:
-            raise InvalidInputError("workers must be >= 1")
         if self.node_budget < 1:
             raise InvalidInputError("node_budget must be >= 1")
 
@@ -92,17 +87,13 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer too long to parse
             raise InvalidInputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("config must be a JSON object")
-        problem = raw.get("problem")
-        q_default = 0.5
-        q = raw.get("q", q_default)
-        q_overridden = problem == PROBLEM_EMBED and q != 0.5
         known = {
             "problem", "n_values", "m_values", "m_offsets", "p", "q",
-            "trials", "master_seed", "workers", "node_budget",
+            "trials", "master_seed", "node_budget",
             "csv_path", "jsonl_path",
         }
         unknown = set(raw) - known
@@ -116,20 +107,23 @@ class ExperimentConfig:
             return tuple(value)
 
         return cls(
-            problem=problem,
+            problem=raw.get("problem"),
             n_values=sizes("n_values"),
             p=raw.get("p", 0.5),
-            q=q,
+            q=raw.get("q", 0.5),
             trials=raw.get("trials", 200),
             master_seed=raw.get("master_seed", 0),
-            workers=raw.get("workers", 1),
             node_budget=raw.get("node_budget", 10**8),
             m_values=sizes("m_values") if "m_values" in raw else None,
             m_offsets=sizes("m_offsets") if "m_offsets" in raw else None,
             csv_path=raw.get("csv_path"),
             jsonl_path=raw.get("jsonl_path"),
-            q_overridden=q_overridden,
         )
+
+    @property
+    def q_overridden(self) -> bool:
+        """An embed sweep with q != 1/2, outside the sharp-transition hypothesis."""
+        return self.problem == PROBLEM_EMBED and self.q != 0.5
 
     def resolve_m_values(self, n: int) -> list[int]:
         """Explicit sizes, or offsets applied to the theoretical center."""
@@ -242,13 +236,8 @@ def _run_cell(config: ExperimentConfig, n: int, m: int) -> CellResult:
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run every (n, m) cell; deterministic tallies regardless of workers."""
-    cells = [(n, m) for n in config.n_values for m in config.resolve_m_values(n)]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(config, *c), cells))
-    else:
-        rows = [_run_cell(config, n, m) for n, m in cells]
+    """Run every (n, m) cell; rows come sorted by n, then m."""
+    rows = [_run_cell(config, n, m) for n in config.n_values for m in config.resolve_m_values(n)]
     rows.sort(key=lambda row: (row.n, row.m))
     thresholds = {}
     for n in config.n_values:

@@ -47,7 +47,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        rows = list(cls(n).adj)  # checks n against the cap before allocating
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise InvalidSubsetError(f"bad edge ({i}, {j}) for n={n}")
@@ -171,25 +171,41 @@ def to_text(g: Graph) -> str:
 
 
 def from_text(text: str) -> Graph:
+    """Parse the fixture format; a malformed, reversed or repeated line raises."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise InvalidSubsetError("empty graph text")
-    n = int(lines[0])
-    edges = []
+    first = _line_ints(lines[0])
+    if len(first) != 1:
+        raise InvalidSubsetError(f"first line must be the vertex count, got {lines[0]!r}")
+    edges = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
+        ends = _line_ints(ln)
+        if len(ends) != 2:
             raise InvalidSubsetError(f"bad edge line: {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = ends
         if not i < j:
             raise InvalidSubsetError(f"edge lines must have i < j, got {ln!r}")
-        edges.append((i, j))
-    return Graph.from_edges(n, edges)
+        if (i, j) in edges:
+            raise InvalidSubsetError(f"repeated edge line: {ln!r}")
+        edges.add((i, j))
+    return Graph.from_edges(first[0], edges)
+
+
+def _line_ints(line: str) -> list[int]:
+    try:
+        return [int(token) for token in line.split()]
+    except ValueError:
+        raise InvalidSubsetError(f"non-integer token in line {line!r}") from None
 
 
 def read_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidSubsetError(f"{path} is not UTF-8 text: {exc}") from None
+    return from_text(text)
 
 
 def write_graph(g: Graph, path: str) -> None:

@@ -1,16 +1,20 @@
 """Exact solvers for induced embedding and common induced subgraphs.
 
-Both problems are solved by depth-first backtracking over pattern vertices
-with candidate sets kept as host bitmasks.  Matching is induced: a candidate
-must be adjacent to the images of the pattern vertex's neighbours and
-non-adjacent to the images of its non-neighbours.  The common-subgraph solver
-branches over which vertex joins the domain next, so existence, counting and
-maximum-size queries all share one search core.
+One depth-first backtracking core answers every query.  It searches partial
+injections from x into y whose domain is a sorted m-subset of x, branching
+on which vertex of x joins the domain next and on its image, with candidate
+images kept as host bitmasks.  Matching is induced: a candidate must be
+adjacent to the images of the domain vertex's neighbours and non-adjacent to
+the images of its non-neighbours.  Embedding x into y is the full-domain
+case m = x.n, run on x relabeled into a most-constrained-first order; the
+common-subgraph existence, count and maximum-size queries run the core on
+x and y as given.
 
-Search effort is metered in expanded nodes (assignments tried).  Existence
-queries return a three-valued outcome; counting queries raise
-`BudgetExceededError` carrying the partial count, so a complete count is never
-confused with a truncated one.
+Search effort is metered in expanded nodes (assignments tried), and a query
+whose count of nodes passes its budget stops there.  Existence queries
+return a three-valued outcome; counting queries raise `BudgetExceededError`
+carrying the partial count, so a complete count is never confused with a
+truncated one.
 """
 
 from __future__ import annotations
@@ -110,100 +114,119 @@ def _pattern_order(x: Graph) -> list[int]:
     return sorted(range(x.n), key=lambda v: (-x.adj[v].bit_count(), v))
 
 
-def _prepare_embed(x: Graph, y: Graph):
-    m, n = x.n, y.n
-    order = _pattern_order(x)
-    prow = []
-    for k in range(m):
-        row = 0
-        xk = x.adj[order[k]]
-        for i in range(k):
-            if (xk >> order[i]) & 1:
-                row |= 1 << i
-        prow.append(row)
-    full = (1 << n) - 1
-    adj = y.adj
-    nav = [(~adj[w]) & full & ~(1 << w) for w in range(n)]
-    return order, prow, adj, nav, full
+def _search(xrows, yrows, m: int, budget: int, count_all: bool):
+    """DFS over size-m partial injections from x into y with sorted domains.
 
+    Level k assigns the k-th domain vertex cu[k] an image.  cu[k] scans
+    upward from cu[k-1] + 1 while enough vertices remain for the levels
+    below it, and for each cu[k] the images are taken lowest first from a
+    bitmask of host vertices consistent with every assigned level.  The rows
+    (non-adjacency, adjacency) of each assigned image are cached per level,
+    and pre[k] holds the consistency mask of the domain vertex cu[k] + 1
+    against levels 0..k-1.  It gives a node its child's candidates with one
+    AND, and it is level k's candidate set once cu[k] moves up.  Both rows
+    of an image exclude the image itself, so no used-vertex mask is needed.
+    The last level is settled in one step: its candidates are the witnesses,
+    or are counted all at once.
 
-def _embed_search(x: Graph, y: Graph, budget: int, count_all: bool):
-    """Core DFS.  Returns (count, witness_image_or_None, nodes, exceeded)."""
-    m, n = x.n, y.n
-    if m > n:
-        raise SizeError("pattern larger than host")
+    Nodes count assignments tried, and every counted node is checked against
+    the budget.  Returns (count, (domain, image) or None, nodes, exceeded).
+    """
+    n, ny = len(xrows), len(yrows)
+    if m < 0:
+        raise SizeError("subgraph size must be nonnegative")
+    if m > n or m > ny:
+        raise SizeError(f"subgraph size {m} exceeds a graph's vertex count")
     if m == 0:
-        return 1, (), 0, False
-    if m == 1:
-        # Any single host vertex is an induced copy of the one-vertex pattern.
-        if count_all:
-            if n > budget:
-                return budget, None, budget, True
-            return n, None, n, False
-        if budget < 1:
-            return 0, None, 0, True
-        return 0, (0,), 1, False
-    order, prow, adj, nav, full = _prepare_embed(x, y)
+        return 1, ((), ()), 0, False
+    fully = (1 << ny) - 1
+    rows = [(~row & fully & ~(1 << w), row) for w, row in enumerate(yrows)]
     last = m - 1
-    cand = [0] * m
+    slack = n - m      # level k's domain vertex ranges over k..k + slack
+    cu = [0] * m       # domain vertex at each level
+    cand = [0] * m     # images still to try for cu[level]
     img = [0] * m
-    cand[0] = full
-    used = 0
-    depth = 0
+    yr = [None] * m    # rows of img[level], indexed by x-adjacency
+    pre = [0] * m
     nodes = 0
     count = 0
-    witness: Optional[tuple[int, ...]] = None
+    cand[0] = pre[0] = fully
+    depth = 0
     while depth >= 0:
         c = cand[depth]
-        if c == 0:
-            depth -= 1
-            if depth >= 0:
-                used &= ~(1 << img[depth])
-            continue
-        yv = (c & -c).bit_length() - 1
-        cand[depth] = c & (c - 1)
-        nodes += 1
-        if nodes > budget:
-            return count, None, nodes, True
-        img[depth] = yv
-        nxt = depth + 1
-        # Candidates for the next position: unused hosts consistent with
-        # every assigned position (edges to edges, non-edges to non-edges).
-        nc = full & ~(used | (1 << yv))
-        row = prow[nxt]
-        i = 0
-        while nc and i <= depth:
-            nc &= adj[img[i]] if (row >> i) & 1 else nav[img[i]]
-            i += 1
-        if nxt == last:
-            if nc:
+        if c:
+            if depth == last:
                 if not count_all:
                     nodes += 1
-                    img[last] = (nc & -nc).bit_length() - 1
-                    witness = tuple(img)
-                    break
-                k = nc.bit_count()
+                    if nodes > budget:
+                        return count, None, nodes, True
+                    img[last] = (c & -c).bit_length() - 1
+                    return count, (tuple(cu), tuple(img)), nodes, False
+                cand[last] = 0
+                k = c.bit_count()
                 nodes += k
                 count += k
                 if nodes > budget:
                     return count, None, nodes, True
-            continue
-        if nc == 0:
-            continue
-        used |= 1 << yv
-        depth = nxt
+                continue
+            yv = (c & -c).bit_length() - 1
+            cand[depth] = c & (c - 1)
+            nodes += 1
+            if nodes > budget:
+                return count, None, nodes, True
+            r = rows[yv]
+            u = cu[depth] + 1
+            nc = pre[depth] & r[(xrows[u] >> cu[depth]) & 1]
+            nxt = depth + 1
+            if nc == 0 and u == nxt + slack:
+                continue  # the next level has nothing to try
+            img[depth] = yv
+            yr[depth] = r
+            depth = nxt
+        else:
+            # Move this level's domain vertex up to the one pre[] was
+            # computed for, or backtrack.
+            u = cu[depth] + 1
+            if u > depth + slack:
+                depth -= 1
+                continue
+            nc = pre[depth]
+        cu[depth] = u
         cand[depth] = nc
-    if witness is not None:
-        image = [0] * m
-        for pos, v in enumerate(order):
-            image[v] = witness[pos]
-        return count, tuple(image), nodes, False
+        if u < depth + slack or (nc and depth < last):
+            xu = xrows[u + 1]
+            nc = fully
+            i = 0
+            while nc and i < depth:
+                nc &= yr[i][(xu >> cu[i]) & 1]
+                i += 1
+            pre[depth] = nc
     return count, None, nodes, False
+
+
+def _embed(x: Graph, y: Graph, budget: int, count_all: bool):
+    """Embedding is the common subgraph of size x.n, whose domain is all of x.
+
+    The pattern is relabeled so that its vertex k is order[k]; with m = x.n
+    the domain cannot advance, so level k always holds pattern vertex
+    order[k].  Returns (count, image_or_None, nodes, exceeded).
+    """
+    order = _pattern_order(x)
+    xrows = [
+        sum(1 << i for i, w in enumerate(order) if (x.adj[v] >> w) & 1) for v in order
+    ]
+    count, pair, nodes, exceeded = _search(xrows, y.adj, x.n, budget, count_all)
+    if pair is None:
+        return count, None, nodes, exceeded
+    image = [0] * x.n
+    for k, v in enumerate(order):
+        image[v] = pair[1][k]
+    return count, tuple(image), nodes, exceeded
 
 
 def embed_exists(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Is x isomorphic to an induced subgraph of y?"""
-    count, image, nodes, exceeded = _embed_search(x, y, budget, count_all=False)
+    _, image, nodes, exceeded = _embed(x, y, budget, count_all=False)
     if exceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if image is not None:
@@ -213,107 +236,25 @@ def embed_exists(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutc
 
 def embed_count(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Number of injections mapping x onto an induced subgraph of y."""
-    count, _, nodes, exceeded = _embed_search(x, y, budget, count_all=True)
+    count, _, nodes, exceeded = _embed(x, y, budget, count_all=True)
     if exceeded:
         raise BudgetExceededError("embedding count hit the node budget", count, nodes)
     return CountResult(count, nodes)
 
 
-def _common_search(x: Graph, y: Graph, m: int, budget: int, count_all: bool):
-    """DFS over partial injections with sorted domains.
-
-    Level k holds the k-th domain vertex; at each level the domain vertex u
-    scans upward and for each u the candidate images are enumerated from a
-    bitmask.  Returns (count, witness_pair_or_None, nodes, exceeded).
-    """
-    n = x.n
-    if m > n or m > y.n:
-        raise SizeError("requested common subgraph larger than a graph")
-    if m < 0:
-        raise SizeError("subgraph size must be nonnegative")
-    if m == 0:
-        return 1, ((), ()), 0, False
-    ny = y.n
-    fully = (1 << ny) - 1
-    adjx, adjy = x.adj, y.adj
-    navy = [(~adjy[w]) & fully & ~(1 << w) for w in range(ny)]
-    last = m - 1
-    cu = [0] * m      # current domain vertex at each level
-    cand = [0] * m    # remaining image candidates for cu[level]
-    dom = [0] * m
-    img = [0] * m
-    used = 0
-    nodes = 0
-    count = 0
-    witness = None
-
-    def image_cands(u: int, k: int) -> int:
-        nc = fully & ~used
-        xu = adjx[u]
-        i = 0
-        while nc and i < k:
-            nc &= adjy[img[i]] if (xu >> dom[i]) & 1 else navy[img[i]]
-            i += 1
-        return nc
-
-    depth = 0
-    cu[0] = 0
-    cand[0] = image_cands(0, 0)
-    while depth >= 0:
-        c = cand[depth]
-        if c == 0:
-            u = cu[depth] + 1
-            if n - u >= m - depth:  # enough vertices left to fill the domain
-                cu[depth] = u
-                cand[depth] = image_cands(u, depth)
-                continue
-            depth -= 1
-            if depth >= 0:
-                used &= ~(1 << img[depth])
-            continue
-        if depth == last:
-            cand[depth] = 0
-            if not count_all:
-                nodes += 1
-                dom[last] = cu[last]
-                img[last] = (c & -c).bit_length() - 1
-                witness = (tuple(dom), tuple(img))
-                break
-            k = c.bit_count()
-            nodes += k
-            count += k
-            if nodes > budget:
-                return count, None, nodes, True
-            continue
-        yv = (c & -c).bit_length() - 1
-        cand[depth] = c & (c - 1)
-        nodes += 1
-        if nodes > budget:
-            return count, None, nodes, True
-        dom[depth] = cu[depth]
-        img[depth] = yv
-        used |= 1 << yv
-        nxt = depth + 1
-        cu[nxt] = cu[depth] + 1
-        cand[nxt] = image_cands(cu[nxt], nxt)
-        depth = nxt
-    return count, witness, nodes, False
-
-
 def common_exists(x: Graph, y: Graph, m: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Do x and y contain isomorphic induced subgraphs on m vertices?"""
-    count, pair, nodes, exceeded = _common_search(x, y, m, budget, count_all=False)
+    _, pair, nodes, exceeded = _search(x.adj, y.adj, m, budget, count_all=False)
     if exceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if pair is not None:
-        witness = PartialInjection(pair[0], pair[1])
-        return SearchOutcome(FOUND, witness, nodes)
+        return SearchOutcome(FOUND, PartialInjection(*pair), nodes)
     return SearchOutcome(EXHAUSTED, None, nodes)
 
 
 def common_count(x: Graph, y: Graph, m: int, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Number of size-m partial injections matching x and y exactly."""
-    count, _, nodes, exceeded = _common_search(x, y, m, budget, count_all=True)
+    count, _, nodes, exceeded = _search(x.adj, y.adj, m, budget, count_all=True)
     if exceeded:
         raise BudgetExceededError("common-subgraph count hit the node budget", count, nodes)
     return CountResult(count, nodes)

@@ -63,6 +63,8 @@ def derive_params(p: float, q: float) -> ModelParams:
     if not (0.0 < p < 1.0) or not (0.0 < q < 1.0):
         raise ParameterError("p and q must lie strictly between 0 and 1")
     tau = p * q + (1.0 - p) * (1.0 - q)
+    if tau >= 1.0:
+        raise ParameterError(f"p = {p} and q = {q} agree too closely with 0 or 1: tau rounds to 1")
     lam = 1.0 / math.log(1.0 / tau)
     omega = max(p * q, (1.0 - p) * (1.0 - q)) / tau
     t12 = p * q * q + (1.0 - p) * (1.0 - q) * (1.0 - q)
@@ -219,8 +221,8 @@ def embed_thresholds(n: int, cn: Optional[float] = None) -> tuple[int, int]:
         raise NTooSmallError("embedding thresholds need n >= 2")
     if cn is None:
         cn = ThresholdConfig.default(n).cn
-    if cn <= 0:
-        raise ParameterError("cn must be positive")
+    if not 0 < cn < math.inf:
+        raise ParameterError(f"cn must be positive and finite, got {cn}")
     center = 2.0 * math.log(n) / math.log(2.0) + 1.0
     slack = cn / math.log(n)
     return math.floor(center - slack), math.ceil(center + slack)
@@ -237,8 +239,8 @@ def common_thresholds(
     """
     if cn is None:
         cn = ThresholdConfig.default(n).cn
-    if cn <= 0:
-        raise ParameterError("cn must be positive")
+    if not 0 < cn < math.inf:
+        raise ParameterError(f"cn must be positive and finite, got {cn}")
     root, _, _ = m_star(n, params)
     slack = cn / math.log(n)
     inside = in_admissible_region(params.p, params.q)

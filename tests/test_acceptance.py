@@ -6,10 +6,12 @@ oracles come from tests/oracles.py and recompute everything from first
 principles.
 """
 
+import json
 import math
 
 import oracles
 from isophase import moments
+from isophase.cli import main
 from isophase.edgegraph import build_common_edge_graph, classify_components, pair_moment
 from isophase.experiments import CSV_COLUMNS, ExperimentConfig, export, run_sweep
 from isophase.isosearch import PartialInjection
@@ -307,27 +309,31 @@ def test_criterion_08_common_phase_transition():
     _report(8, f"common-subgraph transition at n=12 (m_star 10.80, curve {detail})", failures)
 
 
-def test_criterion_09_determinism(tmp_path):
+def test_criterion_09_determinism(tmp_path, capsys):
     base = dict(
         problem="embed", n_values=(16,), p=0.5, q=0.5, trials=30,
         master_seed=99, m_values=(3, 5, 7, 9, 11),
     )
-    results = {w: run_sweep(ExperimentConfig(**base, workers=w)) for w in (1, 2, 4)}
+    # Two independent runs of one config: one in-process, one through
+    # `isophase experiment --config` writing its own CSV.
+    direct = run_sweep(ExperimentConfig(**base))
+    direct_path = tmp_path / "direct.csv"
+    export(direct, "csv", str(direct_path))
+    cli_path = tmp_path / "cli.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**base, "csv_path": str(cli_path)}))
     failures = []
-    tallies = {
-        w: [(r.n, r.m, r.successes, r.unknowns) for r in res.rows]
-        for w, res in results.items()
-    }
-    if not tallies[1] == tallies[2] == tallies[4]:
-        failures.append(f"tallies differ across worker counts: {tallies}")
-    texts = {}
-    for w, res in results.items():
-        path = tmp_path / f"w{w}.csv"
-        export(res, "csv", str(path))
-        texts[w] = _mask_wall_ms(path.read_text())
-    if not texts[1] == texts[2] == texts[4]:
-        failures.append("CSV outputs differ beyond the wall_ms column")
-    _report(9, "sweep tallies and CSV identical across worker counts", failures)
+    code = main(["experiment", "--config", str(config_path)])
+    capsys.readouterr()
+    if code != 0:
+        failures.append(f"isophase experiment exited {code}")
+    texts = [_mask_wall_ms(path.read_text()) if path.exists() else None
+             for path in (direct_path, cli_path)]
+    if texts[0] != texts[1]:
+        failures.append("CSV outputs of two runs differ beyond the wall_ms column")
+    if len(texts[0].splitlines()) != 1 + len(base["m_values"]):
+        failures.append("CSV does not hold one row per cell")
+    _report(9, "sweep CSV identical across two independent runs, one through the CLI", failures)
 
 
 def _mask_wall_ms(text: str) -> str:

@@ -114,6 +114,9 @@ def test_experiment_bad_config(tmp_path, capsys):
     cfg_path.write_text('{"problem": "embed"}')
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
     assert code == 2
+    cfg_path.write_bytes(b'{"problem": "\xff"}')
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert code == 2 and err.startswith("config error: ")
 
 
 def test_experiment_flagged_invalid_exit_code(tmp_path, capsys):
@@ -173,3 +176,46 @@ def test_rado_wrong_argument_count(capsys, argv):
 def test_moments_workers_flag_removed(capsys):
     code, _, err = run_cli(capsys, "moments", "--n", "4", "--m", "2", "--workers", "2")
     assert code == 2 and "unrecognized arguments: --workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("adjacent", "x", "2"), "rado adjacent vertex must be an integer, got 'x'"),
+        (("adjacent", "1", "2.5"), "rado adjacent vertex must be an integer, got '2.5'"),
+        (("decode", "0x3"), "rado decode code must be an integer, got '0x3'"),
+        (("witness", "--adjacent", "1,a"), "--adjacent entry must be an integer, got 'a'"),
+        (("witness", "--nonadjacent", "b"), "--nonadjacent entry must be an integer, got 'b'"),
+    ],
+)
+def test_rado_rejects_non_integer_arguments(capsys, argv, what):
+    code, out, err = run_cli(capsys, "rado", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {what}\n"
+
+
+def test_main_lets_bugs_surface(monkeypatch):
+    # Only package errors and OS errors are input problems; any other
+    # exception is a bug and must not be turned into exit code 2.
+    import isophase.cli as cli
+
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "cmd_region", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["region", "--p", "0.3", "--q", "0.4"])
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("moments", "--n", "2000", "--m", "1000", "--first-only"), "the pair space of n=2000, m=1000"),
+        (("rado", "encode", "{{{{{{{}}}}}}}"), "the code"),
+        (("rado", "witness", "--adjacent", "20000"), "the witness"),
+    ],
+)
+def test_integers_too_long_to_print(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {what} has more than ") and len(err.splitlines()) == 1

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from isophase.cli import main
 from isophase.errors import InvalidInputError, ParameterError
 from isophase.experiments import (
     CSV_COLUMNS,
@@ -65,8 +66,8 @@ def test_config_validation():
         ("trials", "5"),
         ("trials", 5.0),
         ("trials", True),
-        ("workers", True),
-        ("workers", "2"),
+        ("node_budget", True),
+        ("master_seed", "2"),
         ("master_seed", None),
         ("node_budget", 1e6),
         ("n_values", ["8"]),
@@ -91,6 +92,23 @@ def test_config_rejects_wrong_types(field, value):
         ExperimentConfig.from_json(json.dumps(raw))
 
 
+def test_config_rejects_integer_too_long_to_parse():
+    text = '{"problem": "embed", "n_values": [%s], "m_values": [2]}' % ("9" * 5000)
+    with pytest.raises(InvalidInputError, match="^config is not valid JSON"):
+        ExperimentConfig.from_json(text)
+
+
+def test_config_workers_key_is_unknown(tmp_path, capsys):
+    raw = {"problem": "embed", "n_values": [8], "m_values": [2], "p": 0.5, "workers": 2}
+    with pytest.raises(InvalidInputError, match=r"unknown config keys: \['workers'\]"):
+        ExperimentConfig.from_json(json.dumps(raw))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert main(["experiment", "--config", str(path), "--workers", "2"]) == 2
+
+
 def test_config_q_override_flag():
     cfg = ExperimentConfig.from_json(
         '{"problem": "embed", "n_values": [8], "m_values": [2], "p": 0.5, "q": 0.3}'
@@ -100,6 +118,12 @@ def test_config_q_override_flag():
         '{"problem": "embed", "n_values": [8], "m_values": [2], "p": 0.5}'
     )
     assert not cfg2.q_overridden and cfg2.q == 0.5
+
+
+def test_q_overridden_is_derived_from_the_fields():
+    assert ExperimentConfig("embed", (8,), 0.5, 0.7, m_values=(2,)).q_overridden
+    assert not ExperimentConfig("embed", (8,), 0.5, 0.5, m_values=(2,)).q_overridden
+    assert not ExperimentConfig("common", (8,), 0.5, 0.7, m_values=(2,)).q_overridden
 
 
 def test_m_offsets_resolve_around_center():
@@ -143,18 +167,21 @@ def test_success_curve_nonincreasing_up_to_ci():
         assert b.p_hat <= a.p_hat + width
 
 
-def test_determinism_across_worker_counts(tmp_path):
+def test_determinism_across_runs(tmp_path):
     base = dict(problem="embed", n_values=(16,), p=0.5, q=0.5, trials=25,
                 master_seed=77, m_values=(3, 5, 7, 9))
-    res1 = run_sweep(ExperimentConfig(**base, workers=1))
-    res3 = run_sweep(ExperimentConfig(**base, workers=3))
-    tallies1 = [(r.n, r.m, r.successes, r.unknowns) for r in res1.rows]
-    tallies3 = [(r.n, r.m, r.successes, r.unknowns) for r in res3.rows]
-    assert tallies1 == tallies3
-    f1, f3 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export(res1, "csv", str(f1))
-    export(res3, "csv", str(f3))
-    assert _strip_wall_ms(f1.read_text()) == _strip_wall_ms(f3.read_text())
+    first = run_sweep(ExperimentConfig(**base))
+    second = run_sweep(ExperimentConfig(**base))
+    paths = tmp_path / "a.csv", tmp_path / "b.csv"
+    export(first, "csv", str(paths[0]))
+    export(second, "csv", str(paths[1]))
+    assert _strip_wall_ms(paths[0].read_text()) == _strip_wall_ms(paths[1].read_text())
+    # Each cell's tallies depend only on its own seeds, not on the other cells.
+    subset = run_sweep(ExperimentConfig(**{**base, "m_values": (9, 5)}))
+    tallies = {r.m: (r.successes, r.unknowns, r.mean_nodes) for r in first.rows}
+    assert [(r.m, (r.successes, r.unknowns, r.mean_nodes)) for r in subset.rows] == [
+        (m, tallies[m]) for m in (5, 9)
+    ]
 
 
 def _strip_wall_ms(text):

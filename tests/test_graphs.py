@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from isophase.graphs import (
     from_text,
     induced_subgraph,
     is_isomorphism,
+    read_graph,
     sample_gnp,
     to_text,
 )
@@ -146,3 +148,33 @@ def test_text_round_trip():
 def test_text_rejects_unsorted_edges():
     with pytest.raises(InvalidSubsetError):
         from_text("3\n2 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n0 1\n1 2\n0 1\n", "repeated edge line: '0 1'"),
+        ("3\n0  1\n0 1\n", "repeated edge line: '0 1'"),
+        ("3\n0 x\n", "non-integer token in line '0 x'"),
+        ("3\n0 1.5\n", "non-integer token in line '0 1.5'"),
+        ("three\n", "non-integer token in line 'three'"),
+        ("3 4\n", "first line must be the vertex count"),
+    ],
+)
+def test_text_rejects_malformed_lines(text, message):
+    with pytest.raises(InvalidSubsetError, match=re.escape(message)):
+        from_text(text)
+
+
+def test_read_graph_rejects_non_utf8(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"3\n\xff\xfe\n")
+    with pytest.raises(InvalidSubsetError, match="is not UTF-8 text"):
+        read_graph(str(path))
+
+
+def test_from_edges_checks_the_cap_before_allocating():
+    with pytest.raises(SizeError):
+        Graph.from_edges(10**12, [])
+    with pytest.raises(SizeError):
+        from_text("1000000000000\n")

@@ -5,6 +5,7 @@ from isophase.errors import BudgetExceededError, InvalidMapError, SizeError
 from isophase.graphs import EdgeLaw, Graph, induced_subgraph, sample_gnp
 from isophase.isosearch import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
     Injection,
@@ -221,3 +222,64 @@ def test_max_common_budget_reports_bounds():
     res = max_common_size(xs, ys, budget=40)
     assert not res.conclusive
     assert 1 <= res.best_m < res.smallest_refuted
+
+
+def _seeded_pairs(count, x_sizes, y_extra):
+    for seed in range(count):
+        nx = x_sizes[seed % len(x_sizes)]
+        ny = nx + y_extra[seed % len(y_extra)]
+        p = (0.3, 0.5, 0.7)[seed % 3]
+        yield (sample_gnp(EdgeLaw(nx, p, fold_seed(seed, 10))),
+               sample_gnp(EdgeLaw(ny, 0.5, fold_seed(seed, 11))))
+
+
+def test_counts_equal_brute_force_oracles():
+    # One core serves both counts: embedding is the full-domain common count.
+    for x, y in _seeded_pairs(40, (0, 1, 2, 3, 4, 5), (0, 1, 2)):
+        assert embed_count(x, y).value == oracles.brute_embed_count(x, y)
+        for m in range(min(x.n, y.n) + 1):
+            assert common_count(x, y, m).value == oracles.brute_common_count(x, y, m)
+            assert common_count(y, x, m).value == oracles.brute_common_count(y, x, m)
+
+
+def test_found_never_exceeds_the_budget():
+    # Every counted node is checked, the witness leaf included: below the
+    # unbounded run's node count the search stops one node past the budget.
+    cases = []
+    for x, y in _seeded_pairs(24, (1, 2, 3, 4, 5, 6), (0, 2, 5)):
+        cases.append((lambda b, x=x, y=y: embed_exists(x, y, b)))
+        m = min(x.n, 4)
+        cases.append((lambda b, x=x, y=y, m=m: common_exists(y, y, m, b)))
+        cases.append((lambda b, x=x, y=y, m=m: common_exists(x, y, m, b)))
+    for search in cases:
+        full = search(DEFAULT_BUDGET)
+        for budget in range(51):
+            out = search(budget)
+            if out.status == FOUND:
+                assert out.nodes <= budget
+            if full.nodes <= budget:
+                assert out == full
+            else:
+                assert out.status == BUDGET_EXCEEDED and out.nodes == budget + 1
+
+
+def test_embed_exists_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for seed in range(60):
+        n = 9 + seed % 8                    # hosts on 9..16 vertices
+        m = 3 + seed % 7                    # patterns on 3..9 vertices
+        x = sample_gnp(EdgeLaw(m, 0.5, fold_seed(seed, 20)))
+        y = sample_gnp(EdgeLaw(n, 0.5, fold_seed(seed, 21)))
+        out = embed_exists(x, y)
+        # GraphMatcher's subgraph isomorphism is node-induced.
+        assert (out.status == FOUND) == GraphMatcher(to_nx(y), to_nx(x)).subgraph_is_isomorphic()
+        if out.status == FOUND:
+            assert verify_embedding(x, y, out.witness)

@@ -42,6 +42,20 @@ def test_derive_params_symmetry_and_bounds():
         derive_params(0.5, 1.0)
 
 
+@pytest.mark.parametrize("p, q", [(1e-300, 1e-300), (1e-17, 1e-300)])
+def test_derive_params_rejects_tau_rounding_to_one(p, q):
+    with pytest.raises(ParameterError, match="tau rounds to 1"):
+        derive_params(p, q)
+
+
+@pytest.mark.parametrize("cn", [0.0, -1.0, math.inf, math.nan])
+def test_thresholds_reject_nonpositive_or_nonfinite_cn(cn):
+    with pytest.raises(ParameterError, match="cn must be positive and finite"):
+        embed_thresholds(1024, cn)
+    with pytest.raises(ParameterError, match="cn must be positive and finite"):
+        common_thresholds(1024, HALF, cn)
+
+
 def test_region_membership_examples():
     assert in_admissible_region(0.5, 0.5)
     assert derive_params(0.5, 0.5).tau_jk(1, 2) == pytest.approx(0.25)
