@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import edgegraph, experiments, moments, rado, thresholds, verify
@@ -34,13 +35,41 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _max_str_digits() -> int:
+    """Python's limit on int-to-str conversion; 0 before 3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(what: str, digits: int) -> ScaleError:
+    return ScaleError(f"{what} has more than {digits} decimal digits")
+
+
 def _printable(value: int, what: str) -> int:
     """value, if Python will write it in decimal; else a ScaleError."""
-    # Python versions before 3.10.7 have no limit on int-to-str conversion.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _max_str_digits()
     if digits and abs(value) >= 10**digits:
-        raise ScaleError(f"{what} has more than {digits} decimal digits")
+        raise _too_long(what, digits)
     return value
+
+
+def _pair_space_log10(n: int, m: int, variant: str) -> float:
+    """A lower bound on log10 of the pair space, so that a huge instance is
+    rejected before anything computes it exactly; -inf unless 0 <= m <= n.
+
+    Below 2^53 it comes from lgamma, less a slack far above lgamma's rounding
+    error.  Above, lgamma's arguments would round, and with k = min(m, 2^52)
+    the bound (n)_m >= (n)_k >= (n/2)^k serves instead.
+    """
+    if not 0 <= m <= n:
+        return -math.inf
+    if n >= 2**53:
+        return 2.0 * min(m, 2**52) * (math.log10(n) - math.log10(2)) * (1.0 - 1e-12)
+    lg = math.lgamma
+    log_maps = lg(n + 1) - lg(n - m + 1)  # (n)_m
+    if variant == edgegraph.COMMON:
+        log_maps += lg(n + 1) - lg(m + 1) - lg(n - m + 1)  # C(n, m)
+    slack = 1.0 + 1e-12 * n * math.log(n + 2)
+    return (2.0 * log_maps - slack) / math.log(10)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -143,19 +172,6 @@ def cmd_common(args) -> int:
     return code
 
 
-def _params_payload(params: thresholds.ModelParams) -> dict:
-    return {
-        "p": params.p,
-        "q": params.q,
-        "tau": params.tau,
-        "lam": params.lam,
-        "omega": params.omega,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "phat": params.phat,
-    }
-
-
 def cmd_threshold(args) -> int:
     params = thresholds.derive_params(args.p, args.q)
     cn = args.cn if args.cn is not None else thresholds.ThresholdConfig.default(args.n).cn
@@ -171,7 +187,7 @@ def cmd_threshold(args) -> int:
         "r_n": report.r_n,
         "residual": report.residual,
         "in_region": report.in_region,
-        **_params_payload(params),
+        **asdict(params),
     }
     _emit(payload, args.json)
     return EXIT_OK
@@ -187,7 +203,7 @@ def cmd_region(args) -> int:
         "membership": "inside" if inside else "outside",
         "corner_p": p_star,
         "corner_q": q_star,
-        **_params_payload(thresholds.derive_params(args.p, args.q)),
+        **asdict(thresholds.derive_params(args.p, args.q)),
     }
     _emit(payload, args.json)
     return EXIT_OK
@@ -197,6 +213,10 @@ def cmd_moments(args) -> int:
     params = thresholds.derive_params(args.p, args.q)
     variant = edgegraph.EMBEDDING if args.variant == "embed" else edgegraph.COMMON
     n, m = args.n, args.m
+    what = f"the pair space of n={n}, m={m}"
+    digits = _max_str_digits()
+    if digits and _pair_space_log10(n, m, variant) > digits:
+        raise _too_long(what, digits)
     if variant == edgegraph.EMBEDDING:
         log_en = moments.expected_embeddings_log(n, m)
         space = moments.injection_pair_space(n, m)
@@ -207,7 +227,7 @@ def cmd_moments(args) -> int:
         "n": n,
         "m": m,
         "variant": args.variant,
-        "pair_space": _printable(space, f"the pair space of n={n}, m={m}"),
+        "pair_space": _printable(space, what),
         "expected": {"log": log_en, "value": math.exp(log_en)},
     }
     if not args.first_only:

@@ -12,6 +12,10 @@ both maps match two independent random graphs simultaneously:
 with tau_{j,k} the probability that j + k linked edge indicators agree.
 Capitalised Vertex/Edge in docstrings refers to this derived graph, whose
 Vertices are themselves vertex pairs of the underlying graphs.
+
+One builder serves both problems: an embedding is a common induced subgraph
+whose domain is the whole pattern, so two total injections have the pair
+graph of the partial injections they define on the domain 0..m-1.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class EdgeGraph:
     r: int
     ell: int
     zcal: int
-    total: bool  # built from total injections (domain = whole pattern side)
     m: int
 
 
@@ -68,7 +71,6 @@ class ComponentProfile:
     ell: int
     zcal: int
     n_components: int
-    total: bool
     m: int
 
     def census_signature(self) -> tuple[tuple[int, int, int], ...]:
@@ -76,85 +78,43 @@ class ComponentProfile:
         return tuple(sorted((j, k, cnt) for (j, k), cnt in self.c.items()))
 
 
-def _sorted_pair(a: int, b: int) -> Pair:
-    return (a, b) if a < b else (b, a)
-
-
 def build_embedding_edge_graph(f: Injection, g: Injection, m: int, n: int) -> EdgeGraph:
-    """Pair graph of two total injections on the same (m, n).
-
-    Left Vertices are all pairs of the pattern side; right Vertices are the
-    images under f and g, deduplicated; Edges {e, f(e)} and {e, g(e)} collapse
-    to one when f(e) = g(e).
-    """
+    """Pair graph of two total injections on the same (m, n): the common
+    pair graph of the two maps as partial injections on all of 0..m-1."""
     if f.m != m or g.m != m or f.n != n or g.n != n:
         raise InvalidMapError("injections do not match the stated sizes")
-    fi, gi = f.image, g.image
-    left: list[Pair] = []
-    right: list[Pair] = []
-    right_index: dict[Pair, int] = {}
-    edges: list[tuple[int, int]] = []
-    ell = sum(1 for u in range(m) if fi[u] == gi[u])
-    zcal = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            li = len(left)
-            left.append((a, b))
-            ef = _sorted_pair(fi[a], fi[b])
-            eg = _sorted_pair(gi[a], gi[b])
-            for e in (ef, eg) if ef != eg else (ef,):
-                ri = right_index.get(e)
-                if ri is None:
-                    ri = len(right)
-                    right_index[e] = ri
-                    right.append(e)
-                edges.append((li, ri))
-            if ef == eg:
-                zcal += 1
-    r = len(set(fi) & set(gi))
-    return EdgeGraph(tuple(left), tuple(right), tuple(edges), m, r, ell, zcal, True, m)
+    dom = tuple(range(m))
+    return build_common_edge_graph(PartialInjection(dom, f.image), PartialInjection(dom, g.image))
 
 
 def build_common_edge_graph(f: PartialInjection, g: PartialInjection) -> EdgeGraph:
-    """Pair graph of two partial injections with equal domain sizes."""
+    """Pair graph of two partial injections with equal domain sizes.
+
+    Each map adds C(m, 2) Edges, and an Edge of f coincides with one of g
+    exactly when both send a common domain pair to the same range pair, so
+    zcal is the number of coinciding Edges.
+    """
     if f.m != g.m:
         raise InvalidMapError("partial injections must have equal domain sizes")
     m = f.m
-    left: list[Pair] = []
-    left_index: dict[Pair, int] = {}
-    right: list[Pair] = []
-    right_index: dict[Pair, int] = {}
-    edge_set: set[tuple[int, int]] = set()
+    left: dict[Pair, int] = {}
+    right: dict[Pair, int] = {}
+    edges: set[tuple[int, int]] = set()
     for h in (f, g):
         dom, img = h.domain, h.image
         for a in range(m):
+            u, x = dom[a], img[a]
             for b in range(a + 1, m):
-                e = _sorted_pair(dom[a], dom[b])
-                li = left_index.get(e)
-                if li is None:
-                    li = len(left)
-                    left_index[e] = li
-                    left.append(e)
-                e2 = _sorted_pair(img[a], img[b])
-                ri = right_index.get(e2)
-                if ri is None:
-                    ri = len(right)
-                    right_index[e2] = ri
-                    right.append(e2)
-                edge_set.add((li, ri))
-    fmap = dict(zip(f.domain, f.image))
+                y = img[b]
+                li = left.setdefault((u, dom[b]), len(left))  # domains are sorted
+                ri = right.setdefault((x, y) if x < y else (y, x), len(right))
+                edges.add((li, ri))
     gmap = dict(zip(g.domain, g.image))
-    common_dom = [u for u in f.domain if u in gmap]
-    d = len(common_dom)
+    d = len(set(f.domain) & set(g.domain))
     r = len(set(f.image) & set(g.image))
-    ell = sum(1 for u in common_dom if fmap[u] == gmap[u])
-    zcal = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            a, b = common_dom[i], common_dom[j]
-            if _sorted_pair(fmap[a], fmap[b]) == _sorted_pair(gmap[a], gmap[b]):
-                zcal += 1
-    return EdgeGraph(tuple(left), tuple(right), tuple(edge_set), d, r, ell, zcal, False, m)
+    ell = sum(1 for u, x in zip(f.domain, f.image) if gmap.get(u) == x)
+    zcal = m * (m - 1) - len(edges)
+    return EdgeGraph(tuple(left), tuple(right), tuple(edges), d, r, ell, zcal, m)
 
 
 def classify_components(t: EdgeGraph) -> ComponentProfile:
@@ -217,9 +177,7 @@ def classify_components(t: EdgeGraph) -> ComponentProfile:
                 c_paths_jj[j] = c_paths_jj.get(j, 0) + 1
         elif e != j + k - 1:
             raise StructuralError("unbalanced component that is not a path")
-    return ComponentProfile(
-        c, c_cycles, c_paths_jj, t.d, t.r, t.ell, t.zcal, len(members), t.total, t.m
-    )
+    return ComponentProfile(c, c_cycles, c_paths_jj, t.d, t.r, t.ell, t.zcal, len(members), t.m)
 
 
 def pair_moment(profile: ComponentProfile, params: ModelParams, variant: str = COMMON) -> float:

@@ -11,7 +11,9 @@ isomorphic one with the same overlap statistics.  So each map f sees the same
 multiset of censuses over its partners g as the identity map on {0..m-1}
 does, and the census over all ordered pairs is |maps| times the identity's
 census.  Counts stay exact integers, and the cache keyed by the overlap
-statistics serves every (p, q).
+statistics serves every (p, q).  A total injection is the partial injection
+on the domain {0..m-1}, so both censuses come from one pair-graph builder:
+the embedding census is the common census with that one domain.
 
 Overlap classes:
 
@@ -37,8 +39,10 @@ from itertools import combinations, permutations
 from typing import Callable, Optional
 
 from . import edgegraph
-from .errors import ParameterError, RegionError, ScaleError, StructuralError, SymmetryError
-from .isosearch import Injection, PartialInjection
+from .errors import (
+    InvalidMapError, ParameterError, RegionError, ScaleError, StructuralError, SymmetryError,
+)
+from .isosearch import PartialInjection
 from .thresholds import ModelParams, derive_params, in_admissible_region
 
 DEFAULT_PAIR_GUARD = 10**7
@@ -186,55 +190,56 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 Sig = tuple[tuple[int, int, int], ...]
 
 
-def _identity_census(maps: list, identity, classify: Callable) -> dict:
-    """Census of all ordered pairs of maps, from the pairs (identity, g).
+def _identity_census(n: int, m: int, domains: list, bucket_of: Callable) -> dict:
+    """Census of all ordered pairs of maps with a domain in `domains`, from
+    the pairs (identity, g): bucket_of(profile) -> {(signature, components):
+    count}.
 
     Exact because relabeling acts transitively on the maps and preserves the
     pair graph up to isomorphism (see the module docstring).
     """
+    identity = PartialInjection(tuple(range(m)), tuple(range(m)))
     buckets: dict = {}
-    for g in maps:
-        key, entry = classify(identity, g)
-        inner = buckets.setdefault(key, {})
-        inner[entry] = inner.get(entry, 0) + 1
-    orbit = len(maps)
+    for dom in domains:
+        for img in permutations(range(n), m):
+            prof = edgegraph.classify_components(
+                edgegraph.build_common_edge_graph(identity, PartialInjection(dom, img))
+            )
+            inner = buckets.setdefault(bucket_of(prof), {})
+            entry = (prof.census_signature(), prof.n_components)
+            inner[entry] = inner.get(entry, 0) + 1
+    orbit = len(domains) * falling_factorial(n, m)
     return {key: {entry: cnt * orbit for entry, cnt in inner.items()}
             for key, inner in buckets.items()}
 
 
 @lru_cache(maxsize=32)
 def _embedding_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
-    """For every ordered pair of total injections: bucket by (r, ell) and
-    count census signatures together with the component totals."""
-    maps = [Injection(m, n, img) for img in permutations(range(n), m)]
-
-    def classify(f: Injection, g: Injection):
-        prof = edgegraph.classify_components(edgegraph.build_embedding_edge_graph(f, g, m, n))
-        return (prof.r, prof.ell), (prof.census_signature(), prof.n_components)
-
-    return _identity_census(maps, Injection(m, n, tuple(range(m))), classify)
+    """For every ordered pair of total injections, the partial injections on
+    the domain 0..m-1: bucket by (r, ell)."""
+    if m > n:
+        raise InvalidMapError("injection domain larger than codomain")
+    return _identity_census(n, m, [tuple(range(m))], lambda prof: (prof.r, prof.ell))
 
 
 @lru_cache(maxsize=32)
-def _common_census(n: int, m: int) -> dict[tuple[int, int], dict[Sig, int]]:
-    """For every ordered pair of partial injections: bucket census
-    signatures by (d, r)."""
-    maps = [
-        PartialInjection(dom, img)
-        for dom in combinations(range(n), m)
-        for img in permutations(range(n), m)
-    ]
-
-    def classify(f: PartialInjection, g: PartialInjection):
-        prof = edgegraph.classify_components(edgegraph.build_common_edge_graph(f, g))
-        return (prof.d, prof.r), prof.census_signature()
-
-    return _identity_census(maps, PartialInjection(tuple(range(m)), tuple(range(m))), classify)
+def _common_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
+    """For every ordered pair of partial injections: bucket by (d, r)."""
+    return _identity_census(n, m, list(combinations(range(n), m)), lambda prof: (prof.d, prof.r))
 
 
-def _check_guard(pairs: int, guard: int) -> None:
-    if pairs > guard:
-        raise ScaleError(f"{pairs} map pairs exceed the guard {guard}; shrink the instance")
+def _census(n: int, m: int, variant: str, pair_guard: int) -> dict:
+    """The cached census of `variant`, once the ordered map pairs it
+    represents pass the guard."""
+    if variant == edgegraph.EMBEDDING:
+        pairs, census = injection_pair_space(n, m), _embedding_census
+    elif variant == edgegraph.COMMON:
+        pairs, census = partial_space(n, m) ** 2, _common_census
+    else:
+        raise ParameterError(f"unknown variant {variant!r}")
+    if pairs > pair_guard:
+        raise ScaleError(f"{pairs} map pairs exceed the guard {pair_guard}; shrink the instance")
+    return census(n, m)
 
 
 def _sig_log_moment(sig: Sig, params: ModelParams) -> float:
@@ -253,27 +258,14 @@ def second_moment_exact(
     variant 'embedding' sums over pairs of total injections (requires
     q = 1/2); 'common' sums over pairs of partial injections.
     """
-    if variant == edgegraph.EMBEDDING:
-        if params.q != 0.5:
-            raise ParameterError("embedding moments are defined for q = 1/2")
-        _check_guard(injection_pair_space(n, m), pair_guard)
-        buckets = _embedding_census(n, m)
-        terms = [
-            cnt * math.exp(_sig_log_moment(sig, params))
-            for key in sorted(buckets)
-            for (sig, _), cnt in sorted(buckets[key].items())
-        ]
-        return math.fsum(terms)
-    if variant == edgegraph.COMMON:
-        _check_guard(partial_space(n, m) ** 2, pair_guard)
-        buckets = _common_census(n, m)
-        terms = [
-            cnt * math.exp(_sig_log_moment(sig, params))
-            for key in sorted(buckets)
-            for sig, cnt in sorted(buckets[key].items())
-        ]
-        return math.fsum(terms)
-    raise ParameterError(f"unknown variant {variant!r}")
+    if variant == edgegraph.EMBEDDING and params.q != 0.5:
+        raise ParameterError("embedding moments are defined for q = 1/2")
+    buckets = _census(n, m, variant, pair_guard)
+    return math.fsum(
+        cnt * math.exp(_sig_log_moment(sig, params))
+        for key in sorted(buckets)
+        for (sig, _), cnt in sorted(buckets[key].items())
+    )
 
 
 def second_moment_ratio(
@@ -349,8 +341,7 @@ def s_bound(
         return MomentBounds(c, s_one + s_two, s_one, s_two, psi)
     if mode != "exact":
         raise ParameterError(f"unknown mode {mode!r}")
-    _check_guard(space, pair_guard)
-    buckets = _embedding_census(n, m)
+    buckets = _census(n, m, edgegraph.EMBEDDING, pair_guard)
     s_one_terms: list[float] = []
     s_two_terms: list[float] = []
     log_phat = math.log(phat) if phat < 1.0 else 0.0
@@ -411,15 +402,13 @@ def t_dr(
     """
     space = partial_space(n, m)
     if mode == "exact":
-        _check_guard(space**2, pair_guard)
-        buckets = _common_census(n, m)
-        inner = buckets.get((d, r))
+        inner = _census(n, m, edgegraph.COMMON, pair_guard).get((d, r))
         if not inner:
             return 0.0
         log_norm = 2.0 * binom(m, 2) * math.log(params.tau)
         total = math.fsum(
             cnt * math.exp(_sig_log_moment(sig, params) - log_norm)
-            for sig, cnt in sorted(inner.items())
+            for (sig, _), cnt in sorted(inner.items())
         )
         return total / space**2
     if r > d:
@@ -472,8 +461,8 @@ def ratio_decomposition(
     """Exact t_dr for every overlap class plus the grouped five-term split."""
     if not 0.0 < c < 1.0:
         raise ParameterError("split constant c must lie in (0, 1)")
+    _census(n, m, edgegraph.COMMON, pair_guard)  # the guard, once; t_dr reads the cache
     space = partial_space(n, m)
-    _check_guard(space**2, pair_guard)
     by_dr: dict[tuple[int, int], float] = {}
     for d in range(m + 1):
         for r in range(m + 1):

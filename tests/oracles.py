@@ -6,6 +6,8 @@ graph census, the closed-form cardinalities, or the solvers' pruning logic,
 so agreement with the library is meaningful evidence.  The one exception,
 `census_all_pairs`, takes the caller's pair classifier and checks only the
 library's use of relabeling symmetry, by sweeping every ordered pair.
+The pair-graph references at the end build an EdgeGraph straight from two
+total injections and count zcal pair by pair, without the library's builder.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
+
+from isophase.edgegraph import EdgeGraph
 
 
 def pair_positions(n: int) -> list[tuple[int, int]]:
@@ -219,3 +223,53 @@ def brute_max_common(x, y) -> int:
                     if ok:
                         return m
     return 0
+
+
+# ---------------------------------------------------------------------------
+# pair-graph references (direct constructions the builder is checked against)
+
+def _sorted_pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def embedding_edge_graph_reference(f, g, m: int, n: int) -> EdgeGraph:
+    """Pair graph of two total injections, built directly: left Vertices are
+    all pattern pairs, right Vertices the images under f and g, deduplicated;
+    Edges {e, f(e)} and {e, g(e)} collapse to one when f(e) = g(e)."""
+    fi, gi = f.image, g.image
+    left: list = []
+    right: list = []
+    right_index: dict = {}
+    edges: list = []
+    ell = sum(1 for u in range(m) if fi[u] == gi[u])
+    zcal = 0
+    for a in range(m):
+        for b in range(a + 1, m):
+            li = len(left)
+            left.append((a, b))
+            ef = _sorted_pair(fi[a], fi[b])
+            eg = _sorted_pair(gi[a], gi[b])
+            for e in (ef, eg) if ef != eg else (ef,):
+                ri = right_index.get(e)
+                if ri is None:
+                    ri = len(right)
+                    right_index[e] = ri
+                    right.append(e)
+                edges.append((li, ri))
+            if ef == eg:
+                zcal += 1
+    r = len(set(fi) & set(gi))
+    return EdgeGraph(tuple(left), tuple(right), tuple(edges), m, r, ell, zcal, m)
+
+
+def zcal_reference(f, g) -> int:
+    """Common domain pairs that f and g send to the same range pair."""
+    fmap = dict(zip(f.domain, f.image))
+    gmap = dict(zip(g.domain, g.image))
+    common = [u for u in f.domain if u in gmap]
+    return sum(
+        1
+        for i, a in enumerate(common)
+        for b in common[i + 1:]
+        if _sorted_pair(fmap[a], fmap[b]) == _sorted_pair(gmap[a], gmap[b])
+    )

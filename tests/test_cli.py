@@ -213,9 +213,26 @@ def test_main_lets_bugs_surface(monkeypatch):
         (("moments", "--n", "2000", "--m", "1000", "--first-only"), "the pair space of n=2000, m=1000"),
         (("rado", "encode", "{{{{{{{}}}}}}}"), "the code"),
         (("rado", "witness", "--adjacent", "20000"), "the witness"),
+        (("moments", "--n", "1000000", "--m", "200000", "--first-only"),
+         "the pair space of n=1000000, m=200000"),
+        (("moments", "--n", "1000000", "--m", "200000", "--first-only", "--variant", "embed"),
+         "the pair space of n=1000000, m=200000"),
+        (("moments", "--n", str(10**20), "--m", "1000000", "--first-only", "--variant", "embed"),
+         f"the pair space of n={10**20}, m=1000000"),
     ],
 )
-def test_integers_too_long_to_print(capsys, argv, what):
+def test_integers_too_long_to_print(capsys, monkeypatch, argv, what):
+    # A huge pair space is rejected from a bound, before its exact product,
+    # which for m = 200000 takes tens of seconds, is ever computed.
+    from isophase import moments
+
+    exact = moments.falling_factorial
+
+    def small_only(n, m):
+        assert m <= 10**4, f"exact falling factorial ({n})_{m} computed"
+        return exact(n, m)
+
+    monkeypatch.setattr(moments, "falling_factorial", small_only)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {what} has more than ") and len(err.splitlines()) == 1

@@ -15,6 +15,7 @@ from isophase.errors import InvalidMapError, ParameterError
 from isophase.isosearch import Injection, PartialInjection
 from isophase.rng import Xoshiro256StarStar
 from isophase.thresholds import derive_params
+from oracles import embedding_edge_graph_reference, zcal_reference
 
 
 def test_equal_total_maps_collapse_to_singletons():
@@ -58,6 +59,38 @@ def test_embedding_size_mismatch():
     g = Injection(3, 7, (0, 1, 2))
     with pytest.raises(InvalidMapError):
         build_embedding_edge_graph(f, g, 3, 6)
+
+
+def test_embedding_builder_matches_reference():
+    # The embedding pair graph is the common builder's on the domain 0..m-1;
+    # it must classify exactly like the direct total-injection construction.
+    stream = Xoshiro256StarStar(11)
+    for _ in range(400):
+        m = stream.randint_below(8)
+        n = m + stream.randint_below(15 - m)
+        f = Injection(m, n, tuple(stream.sample_distinct(n, m)))
+        g = Injection(m, n, tuple(stream.sample_distinct(n, m)))
+        t = build_embedding_edge_graph(f, g, m, n)
+        ref = embedding_edge_graph_reference(f, g, m, n)
+        assert t.left == ref.left
+        got, want = classify_components(t), classify_components(ref)
+        for field in ("c", "c_cycles", "c_paths_jj", "d", "r", "ell", "zcal", "n_components"):
+            assert getattr(got, field) == getattr(want, field), (field, f, g)
+
+
+def test_zcal_counts_common_pairs_sent_alike():
+    # zcal comes from the edge count; it must equal the direct pair count.
+    stream = Xoshiro256StarStar(12)
+    for _ in range(400):
+        m = stream.randint_below(8)
+        n = m + stream.randint_below(15 - m)
+        f = PartialInjection(
+            tuple(sorted(stream.sample_distinct(n, m))), tuple(stream.sample_distinct(n, m))
+        )
+        g = PartialInjection(
+            tuple(sorted(stream.sample_distinct(n, m))), tuple(stream.sample_distinct(n, m))
+        )
+        assert build_common_edge_graph(f, g).zcal == zcal_reference(f, g), (f, g)
 
 
 def test_equal_partial_maps():

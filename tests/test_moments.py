@@ -365,7 +365,7 @@ def _classify_embedding(f, g):
 
 def _classify_common(f, g):
     prof = classify_components(build_common_edge_graph(f, g))
-    return (prof.d, prof.r), prof.census_signature()
+    return (prof.d, prof.r), (prof.census_signature(), prof.n_components)
 
 
 def test_census_equals_all_pairs_oracle():
