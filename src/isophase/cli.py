@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import edgegraph, experiments, moments, rado, thresholds, verify
 from .errors import BudgetExceededError, InvalidInputError, IsophaseError, ScaleError
-from .graphs import EdgeLaw, Graph, read_graph, sample_gnp, to_text
+from .graphs import EdgeLaw, Graph, read_graph, sample_gnp, to_text, write_graph
 from .isosearch import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
@@ -101,34 +101,51 @@ def _add_graph_source(parser: argparse.ArgumentParser, prefix: str, role: str) -
 
 def cmd_sample(args) -> int:
     g = sample_gnp(EdgeLaw(args.n, args.p, args.seed))
-    text = to_text(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(to_text(g))
     return EXIT_OK
+
+
+def _fields(record, *drop: str) -> dict:
+    """The dataclass record's fields in order, without those in `drop`."""
+    return {key: value for key, value in asdict(record).items() if key not in drop}
+
+
+def _partial_witness(w) -> dict:
+    return {"witness_domain": list(w.domain), "witness_image": list(w.image)}
+
+
+def _count(payload: dict, count) -> int:
+    """Add count()'s result to the payload; a budget stop adds the partial
+    count and exits 3."""
+    try:
+        res = count()
+    except BudgetExceededError as exc:
+        payload.update(count=str(exc.partial_count), nodes=exc.nodes, complete=False)
+        return EXIT_BUDGET
+    payload.update(count=str(res.value), nodes=res.nodes, complete=True)
+    return EXIT_OK
+
+
+def _exists(payload: dict, out, witness_fields) -> int:
+    """Add a search outcome to the payload; a budget stop exits 3."""
+    payload.update(status=out.status, nodes=out.nodes)
+    if out.status == FOUND:
+        payload.update(witness_fields(out.witness))
+    return EXIT_BUDGET if out.status == BUDGET_EXCEEDED else EXIT_OK
 
 
 def cmd_embed(args) -> int:
     x = _load_or_sample(args, "pattern")
     y = _load_or_sample(args, "host")
     payload: dict = {"pattern_n": x.n, "host_n": y.n, "budget": args.budget}
-    code = EXIT_OK
     if args.count:
-        try:
-            res = embed_count(x, y, args.budget)
-            payload.update(count=str(res.value), nodes=res.nodes, complete=True)
-        except BudgetExceededError as exc:
-            payload.update(count=str(exc.partial_count), nodes=exc.nodes, complete=False)
-            code = EXIT_BUDGET
+        code = _count(payload, lambda: embed_count(x, y, args.budget))
     else:
         out = embed_exists(x, y, args.budget)
-        payload.update(status=out.status, nodes=out.nodes)
-        if out.status == FOUND:
-            payload["witness"] = list(out.witness.image)
-        elif out.status == BUDGET_EXCEEDED:
-            code = EXIT_BUDGET
+        code = _exists(payload, out, lambda w: {"witness": list(w.image)})
     _emit(payload, args.json)
     return code
 
@@ -137,59 +154,26 @@ def cmd_common(args) -> int:
     x = _load_or_sample(args, "x")
     y = _load_or_sample(args, "y")
     payload: dict = {"n": x.n, "budget": args.budget}
-    code = EXIT_OK
     if args.max:
         res = max_common_size(x, y, args.budget)
-        payload.update(
-            best_m=res.best_m,
-            smallest_refuted=res.smallest_refuted,
-            conclusive=res.conclusive,
-            nodes=res.nodes,
-        )
+        payload.update(_fields(res, "witness"))
         if res.witness is not None:
-            payload["witness_domain"] = list(res.witness.domain)
-            payload["witness_image"] = list(res.witness.image)
-        if not res.conclusive:
-            code = EXIT_BUDGET
-    elif args.count:
-        payload["m"] = args.m
-        try:
-            res = common_count(x, y, args.m, args.budget)
-            payload.update(count=str(res.value), nodes=res.nodes, complete=True)
-        except BudgetExceededError as exc:
-            payload.update(count=str(exc.partial_count), nodes=exc.nodes, complete=False)
-            code = EXIT_BUDGET
+            payload.update(_partial_witness(res.witness))
+        code = EXIT_OK if res.conclusive else EXIT_BUDGET
     else:
         payload["m"] = args.m
-        out = common_exists(x, y, args.m, args.budget)
-        payload.update(status=out.status, nodes=out.nodes)
-        if out.status == FOUND:
-            payload["witness_domain"] = list(out.witness.domain)
-            payload["witness_image"] = list(out.witness.image)
-        elif out.status == BUDGET_EXCEEDED:
-            code = EXIT_BUDGET
+        if args.count:
+            code = _count(payload, lambda: common_count(x, y, args.m, args.budget))
+        else:
+            code = _exists(payload, common_exists(x, y, args.m, args.budget), _partial_witness)
     _emit(payload, args.json)
     return code
 
 
 def cmd_threshold(args) -> int:
     params = thresholds.derive_params(args.p, args.q)
-    cn = args.cn if args.cn is not None else thresholds.ThresholdConfig.default(args.n).cn
-    report = thresholds.threshold_report(args.n, params, cn)
-    payload = {
-        "n": args.n,
-        "cn": cn,
-        "cn_over_log_n": cn / math.log(args.n),
-        "m_minus": report.m_minus,
-        "m_plus": report.m_plus,
-        "m_star": report.m_star,
-        "m_tilde": report.m_tilde,
-        "r_n": report.r_n,
-        "residual": report.residual,
-        "in_region": report.in_region,
-        **asdict(params),
-    }
-    _emit(payload, args.json)
+    report = thresholds.threshold_report(args.n, params, args.cn)
+    _emit({**asdict(report), **asdict(params)}, args.json)
     return EXIT_OK
 
 
@@ -217,12 +201,8 @@ def cmd_moments(args) -> int:
     digits = _max_str_digits()
     if digits and _pair_space_log10(n, m, variant) > digits:
         raise _too_long(what, digits)
-    if variant == edgegraph.EMBEDDING:
-        log_en = moments.expected_embeddings_log(n, m)
-        space = moments.injection_pair_space(n, m)
-    else:
-        log_en = moments.expected_common_log(n, m, params)
-        space = moments.partial_space(n, m) ** 2
+    log_en = moments.expected_log(n, m, params, variant)
+    space = moments.pair_space(n, m, variant)
     payload: dict = {
         "n": n,
         "m": m,
@@ -237,24 +217,10 @@ def cmd_moments(args) -> int:
         payload["ratio"] = {"log": math.log(ratio), "value": ratio}
         if variant == edgegraph.EMBEDDING:
             bounds = moments.s_bound(n, m, args.p, args.c, "exact", args.guard)
-            payload["s_bound"] = {
-                "c": bounds.c,
-                "s_total": bounds.s_total,
-                "s_one": bounds.s_one,
-                "s_two": bounds.s_two,
-                "psi_m": bounds.psi_m,
-            }
+            payload["s_bound"] = asdict(bounds)
         elif args.decompose:
             dec = moments.ratio_decomposition(n, m, params, args.c, args.guard)
-            payload["decomposition"] = {
-                "disjoint": dec.disjoint,
-                "full": dec.full,
-                "low_overlap": dec.low_overlap,
-                "high_overlap": dec.high_overlap,
-                "swapped": dec.swapped,
-                "total": dec.total,
-                "lower_bound_term": dec.lower_bound_term,
-            }
+            payload["decomposition"] = _fields(dec, "c", "by_dr")
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -263,19 +229,7 @@ def cmd_verify(args) -> int:
     reports = verify.run_suite(args.suite, args.pairs, args.seed)
     ok = all(rep.ok for rep in reports)
     if args.json:
-        payload = {
-            "suites": [
-                {
-                    "name": rep.name,
-                    "cases": rep.cases,
-                    "checks": rep.checks,
-                    "ok": rep.ok,
-                    "violations": rep.violations,
-                }
-                for rep in reports
-            ],
-            "ok": ok,
-        }
+        payload = {"suites": [{**asdict(rep), "ok": rep.ok} for rep in reports], "ok": ok}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for rep in reports:

@@ -13,22 +13,18 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Optional, Sequence, get_type_hints
 
 from .errors import InvalidInputError, ParameterError
 from .graphs import EdgeLaw, sample_gnp
-from .isosearch import BUDGET_EXCEEDED, FOUND, common_exists, embed_exists
+from .isosearch import BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, common_exists, embed_exists
 from .rng import fold_seed
-from .thresholds import derive_params, m_star
+from .thresholds import derive_params, embed_center, m_star
 
 PROBLEM_EMBED = "embed"
 PROBLEM_COMMON = "common"
-
-CSV_COLUMNS = (
-    "problem,n,m,p,q,trials,successes,unknowns,"
-    "p_hat,ci_low,ci_high,mean_nodes,wall_ms,master_seed"
-)
+SIZE_FIELDS = ("n_values", "m_values", "m_offsets")  # JSON lists of integers
 
 MAX_UNKNOWN_SHARE = 0.05
 WILSON_Z = 1.96  # 95% interval
@@ -43,11 +39,11 @@ def _is_int(value) -> bool:
 class ExperimentConfig:
     problem: str
     n_values: tuple[int, ...]
-    p: float
-    q: float
+    p: float = 0.5
+    q: float = 0.5
     trials: int = 200
     master_seed: int = 0
-    node_budget: int = 10**8
+    node_budget: int = DEFAULT_BUDGET
     m_values: Optional[tuple[int, ...]] = None
     m_offsets: Optional[tuple[int, ...]] = None
     csv_path: Optional[str] = None
@@ -60,7 +56,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        for name in ("n_values", "m_values", "m_offsets"):
+        for name in SIZE_FIELDS:
             values = getattr(self, name)
             if values is not None and not all(map(_is_int, values)):
                 raise InvalidInputError(f"{name} entries must be integers, got {values!r}")
@@ -82,6 +78,8 @@ class ExperimentConfig:
             raise InvalidInputError("give exactly one of m_values / m_offsets")
         if self.node_budget < 1:
             raise InvalidInputError("node_budget must be >= 1")
+        if self.m_offsets is not None and min(self.n_values) < 1:
+            raise InvalidInputError(f"m_offsets need n >= 1, got n={min(self.n_values)}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -91,34 +89,16 @@ class ExperimentConfig:
             raise InvalidInputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError("config must be a JSON object")
-        known = {
-            "problem", "n_values", "m_values", "m_offsets", "p", "q",
-            "trials", "master_seed", "node_budget",
-            "csv_path", "jsonl_path",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-
-        def sizes(key: str) -> tuple:
-            value = raw.get(key, [])
-            if not isinstance(value, list):
-                raise InvalidInputError(f"{key} must be a JSON list, got {value!r}")
-            return tuple(value)
-
-        return cls(
-            problem=raw.get("problem"),
-            n_values=sizes("n_values"),
-            p=raw.get("p", 0.5),
-            q=raw.get("q", 0.5),
-            trials=raw.get("trials", 200),
-            master_seed=raw.get("master_seed", 0),
-            node_budget=raw.get("node_budget", 10**8),
-            m_values=sizes("m_values") if "m_values" in raw else None,
-            m_offsets=sizes("m_offsets") if "m_offsets" in raw else None,
-            csv_path=raw.get("csv_path"),
-            jsonl_path=raw.get("jsonl_path"),
-        )
+        for key in SIZE_FIELDS:
+            if key in raw:
+                if not isinstance(raw[key], list):
+                    raise InvalidInputError(f"{key} must be a JSON list, got {raw[key]!r}")
+                raw[key] = tuple(raw[key])
+        # a missing problem or n_values reaches __post_init__, which names it
+        return cls(**{"problem": None, "n_values": (), **raw})
 
     @property
     def q_overridden(self) -> bool:
@@ -131,7 +111,7 @@ class ExperimentConfig:
             sizes = list(self.m_values)
         else:
             if self.problem == PROBLEM_EMBED:
-                center = round(2.0 * math.log(n) / math.log(2.0) + 1.0)
+                center = round(embed_center(n))
             else:
                 root, _, _ = m_star(n, derive_params(self.p, self.q))
                 center = round(root)
@@ -165,6 +145,9 @@ class CellResult:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -257,9 +240,7 @@ def export(result: SweepResult, fmt: str, path: str) -> None:
     """Write rows as CSV (fixed column order) or JSONL (one object per line)."""
     if fmt == "csv":
         lines = [CSV_COLUMNS]
-        for row in result.rows:
-            d = row.as_dict()
-            lines.append(",".join(_csv_cell(d[key]) for key in CSV_COLUMNS.split(",")))
+        lines.extend(",".join(map(_csv_cell, row.as_dict().values())) for row in result.rows)
         payload = "\n".join(lines) + "\n"
     elif fmt == "jsonl":
         payload = "".join(json.dumps(row.as_dict()) + "\n" for row in result.rows)
@@ -274,16 +255,11 @@ def parse_csv(text: str) -> list[dict]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_COLUMNS:
         raise InvalidInputError("unexpected CSV header")
-    keys = CSV_COLUMNS.split(",")
+    casts = get_type_hints(CellResult)  # each column's str, int or float
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != len(keys):
+        if len(parts) != len(casts):
             raise InvalidInputError(f"bad CSV row: {ln!r}")
-        row = dict(zip(keys, parts))
-        for key in ("n", "m", "trials", "successes", "unknowns", "wall_ms", "master_seed"):
-            row[key] = int(row[key])
-        for key in ("p", "q", "p_hat", "ci_low", "ci_high", "mean_nodes"):
-            row[key] = float(row[key])
-        out.append(row)
+        out.append({key: casts[key](value) for key, value in zip(casts, parts)})
     return out

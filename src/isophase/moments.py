@@ -36,12 +36,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Optional
+from typing import Callable
 
 from . import edgegraph
-from .errors import (
-    InvalidMapError, ParameterError, RegionError, ScaleError, StructuralError, SymmetryError,
-)
+from .errors import ParameterError, RegionError, ScaleError, StructuralError, SymmetryError
 from .isosearch import PartialInjection
 from .thresholds import ModelParams, derive_params, in_admissible_region
 
@@ -217,8 +215,6 @@ def _identity_census(n: int, m: int, domains: list, bucket_of: Callable) -> dict
 def _embedding_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
     """For every ordered pair of total injections, the partial injections on
     the domain 0..m-1: bucket by (r, ell)."""
-    if m > n:
-        raise InvalidMapError("injection domain larger than codomain")
     return _identity_census(n, m, [tuple(range(m))], lambda prof: (prof.r, prof.ell))
 
 
@@ -228,15 +224,33 @@ def _common_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int]
     return _identity_census(n, m, list(combinations(range(n), m)), lambda prof: (prof.d, prof.r))
 
 
-def _census(n: int, m: int, variant: str, pair_guard: int) -> dict:
-    """The cached census of `variant`, once the ordered map pairs it
-    represents pass the guard."""
+def _variant(variant: str) -> tuple[Callable, Callable, Callable]:
+    """(log E N, number of ordered map pairs, census) of `variant`."""
     if variant == edgegraph.EMBEDDING:
-        pairs, census = injection_pair_space(n, m), _embedding_census
-    elif variant == edgegraph.COMMON:
-        pairs, census = partial_space(n, m) ** 2, _common_census
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
+        return (lambda n, m, _params: expected_embeddings_log(n, m),
+                injection_pair_space, _embedding_census)
+    if variant == edgegraph.COMMON:
+        return expected_common_log, lambda n, m: partial_space(n, m) ** 2, _common_census
+    raise ParameterError(f"unknown variant {variant!r}")
+
+
+def expected_log(n: int, m: int, params: ModelParams, variant: str) -> float:
+    """log E N of `variant`."""
+    return _variant(variant)[0](n, m, params)
+
+
+def pair_space(n: int, m: int, variant: str) -> int:
+    """Number of ordered map pairs that the census of `variant` sums over."""
+    return _variant(variant)[1](n, m)
+
+
+def _census(n: int, m: int, variant: str, pair_guard: int) -> dict:
+    """The cached census of `variant`, for 0 <= m <= n, once the ordered map
+    pairs it represents pass the guard."""
+    _, space, census = _variant(variant)
+    if not 0 <= m <= n:
+        raise ParameterError(f"the pair census needs 0 <= m <= n, got n={n}, m={m}")
+    pairs = space(n, m)
     if pairs > pair_guard:
         raise ScaleError(f"{pairs} map pairs exceed the guard {pair_guard}; shrink the instance")
     return census(n, m)
@@ -277,11 +291,7 @@ def second_moment_ratio(
 ) -> float:
     """Exact E N^2 / (E N)^2 on an enumerable instance."""
     en2 = second_moment_exact(n, m, params, variant, pair_guard)
-    if variant == edgegraph.EMBEDDING:
-        log_en = expected_embeddings_log(n, m)
-    else:
-        log_en = expected_common_log(n, m, params)
-    return en2 * math.exp(-2.0 * log_en)
+    return en2 * math.exp(-2.0 * expected_log(n, m, params, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +306,6 @@ class MomentBounds:
     s_one: float
     s_two: float
     psi_m: float
-    t_dr: Optional[dict[tuple[int, int], float]] = None
 
 
 def psi_factor(m: int, params: ModelParams, c: float) -> float:

@@ -18,6 +18,7 @@ from .errors import DepthLimitError, InvalidInputError
 from .rng import Xoshiro256StarStar
 
 MAX_DEPTH = 6  # codes of deeper sets form power towers no machine can hold
+RANDOM_SET_BREADTH = 3  # most members per level of random_set
 
 
 def bit_adjacent(a: int, b: int) -> bool:
@@ -115,12 +116,12 @@ def von_neumann(k: int) -> HereditarilyFiniteSet:
     return HereditarilyFiniteSet(out)
 
 
-def random_set(stream: Xoshiro256StarStar, max_depth: int = 4, breadth: int = 3) -> HereditarilyFiniteSet:
+def random_set(stream: Xoshiro256StarStar, max_depth: int = 4) -> HereditarilyFiniteSet:
     """Random hereditarily finite set with depth at most max_depth."""
     if max_depth <= 0:
         return EMPTY_SET
-    size = stream.randint_below(breadth + 1)
-    return HereditarilyFiniteSet(random_set(stream, max_depth - 1, breadth) for _ in range(size))
+    size = stream.randint_below(RANDOM_SET_BREADTH + 1)
+    return HereditarilyFiniteSet(random_set(stream, max_depth - 1) for _ in range(size))
 
 
 def parse_set_literal(text: str) -> HereditarilyFiniteSet:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NTooSmallError, ParameterError
 
 _LN2PI = math.log(2.0 * math.pi)
+_ROOT_TOL = 1e-10  # the largest |W(m_*) - R(n)| m_star accepts
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,21 @@ def in_admissible_region(p: float, q: float) -> bool:
     return region_margin(p, q) < 0.0
 
 
-def region_corner(tol: float = 1e-12) -> tuple[float, float]:
+def _bisect(go_right: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Bisect [lo, hi], keeping the right half while go_right(midpoint), until
+    it is at most tol * max(1, hi) wide or halved 200 times; its midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def region_corner() -> tuple[float, float]:
     """Corner (p*, q*) of the admissible region with p* < q*.
 
     Both boundary curves tau_{1,2} = tau^{3/2} and tau_{2,1} = tau^{3/2}
@@ -100,22 +115,12 @@ def region_corner(tol: float = 1e-12) -> tuple[float, float]:
     along that line finds the crossing.
     """
 
-    def gap(p: float) -> float:
+    def outside(p: float) -> bool:
         params = derive_params(p, 1.0 - p)
-        return params.tau_jk(1, 2) - params.tau**1.5
+        return params.tau_jk(1, 2) - params.tau**1.5 > 0
 
-    lo, hi = 1e-9, 0.5 - 1e-9
-    glo = gap(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if (gm > 0) == (glo > 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    p_star = 0.5 * (lo + hi)
+    outside_lo = outside(1e-9)
+    p_star = _bisect(lambda p: outside(p) == outside_lo, 1e-9, 0.5 - 1e-9, 1e-12)
     return p_star, 1.0 - p_star
 
 
@@ -142,6 +147,11 @@ def r_of_n(n: float, lam: float) -> float:
     return 4.0 * lam * math.log(n) + 2.0 * lam + 1.0
 
 
+def embed_center(n: float) -> float:
+    """2*log2(n) + 1, the centre of the embedding transition."""
+    return 2.0 * math.log(n) / math.log(2.0) + 1.0
+
+
 @dataclass(frozen=True)
 class ThresholdConfig:
     """Slack C_n used around the transition points.
@@ -153,12 +163,21 @@ class ThresholdConfig:
     n: int
     cn: float
 
+    def __post_init__(self):
+        if not 0 < self.cn < math.inf:
+            raise ParameterError(f"cn must be positive and finite, got {self.cn}")
+
     @classmethod
     def default(cls, n: int) -> "ThresholdConfig":
         if n < 2:
             raise NTooSmallError("thresholds need n >= 2")
         cn = math.log(math.log(n)) if n >= 16 else 1.0
         return cls(n, cn)
+
+    @classmethod
+    def of(cls, n: int, cn: Optional[float] = None) -> "ThresholdConfig":
+        """The given cn, or the default rule's when cn is None."""
+        return cls.default(n) if cn is None else cls(n, cn)
 
     @property
     def slack(self) -> float:
@@ -170,6 +189,8 @@ class ThresholdReport:
     """Transition sizes and the root diagnostics for one n."""
 
     n: int
+    cn: float
+    cn_over_log_n: float
     m_minus: int
     m_plus: int
     m_star: float
@@ -179,7 +200,7 @@ class ThresholdReport:
     in_region: bool
 
 
-def m_star(n: float, params: ModelParams, tol: float = 1e-10) -> tuple[float, float, float]:
+def m_star(n: float, params: ModelParams) -> tuple[float, float, float]:
     """Root m_* of W(x) = R(n), by bisection; returns (m_star, r_n, residual).
 
     W(x) > x for x >= 1 puts the root below R(n), and W increases strictly,
@@ -190,19 +211,10 @@ def m_star(n: float, params: ModelParams, tol: float = 1e-10) -> tuple[float, fl
     w1 = w_eval(1.0, lam, 0)
     if rn < w1:
         raise NTooSmallError(f"n={n} too small: R(n)={rn} below W(1)={w1}")
-    lo, hi = 1.0, rn
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if w_eval(mid, lam, 0) < rn:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    root = 0.5 * (lo + hi)
+    root = _bisect(lambda x: w_eval(x, lam, 0) < rn, 1.0, rn, 1e-14)
     residual = abs(w_eval(root, lam, 0) - rn)
-    if residual > tol:
-        raise NTooSmallError(f"bisection residual {residual} above tolerance {tol}")
+    if residual > _ROOT_TOL:
+        raise NTooSmallError(f"bisection residual {residual} above tolerance {_ROOT_TOL}")
     return root, rn, residual
 
 
@@ -219,12 +231,8 @@ def embed_thresholds(n: int, cn: Optional[float] = None) -> tuple[int, int]:
     """Embedding transition pair (m_minus, m_plus) around 2*log2(n) + 1."""
     if n < 2:
         raise NTooSmallError("embedding thresholds need n >= 2")
-    if cn is None:
-        cn = ThresholdConfig.default(n).cn
-    if not 0 < cn < math.inf:
-        raise ParameterError(f"cn must be positive and finite, got {cn}")
-    center = 2.0 * math.log(n) / math.log(2.0) + 1.0
-    slack = cn / math.log(n)
+    center = embed_center(n)
+    slack = ThresholdConfig.of(n, cn).slack
     return math.floor(center - slack), math.ceil(center + slack)
 
 
@@ -237,24 +245,21 @@ def common_thresholds(
     so the pair is computed even outside the admissible region; the flag
     tells the caller whether the sharp-transition hypothesis holds.
     """
-    if cn is None:
-        cn = ThresholdConfig.default(n).cn
-    if not 0 < cn < math.inf:
-        raise ParameterError(f"cn must be positive and finite, got {cn}")
+    config = ThresholdConfig.of(n, cn)
+    if n < 2:
+        raise NTooSmallError("common-subgraph thresholds need n >= 2")
     root, _, _ = m_star(n, params)
-    slack = cn / math.log(n)
     inside = in_admissible_region(params.p, params.q)
-    return math.floor(root - slack), math.ceil(root + slack), inside
+    return math.floor(root - config.slack), math.ceil(root + config.slack), inside
 
 
-def threshold_report(
-    n: int, params: ModelParams, cn: Optional[float] = None, tol: float = 1e-10
-) -> ThresholdReport:
+def threshold_report(n: int, params: ModelParams, cn: Optional[float] = None) -> ThresholdReport:
     """Bundle of every threshold quantity for one n (CLI surface)."""
-    if cn is None:
-        cn = ThresholdConfig.default(n).cn
-    m_minus, m_plus = embed_thresholds(n, cn)
-    root, rn, residual = m_star(n, params, tol)
+    config = ThresholdConfig.of(n, cn)
+    m_minus, m_plus = embed_thresholds(n, config.cn)
+    root, rn, residual = m_star(n, params)
     tilde = m_star_approx(n, params)
     inside = in_admissible_region(params.p, params.q)
-    return ThresholdReport(n, m_minus, m_plus, root, tilde, rn, residual, inside)
+    return ThresholdReport(
+        n, config.cn, config.slack, m_minus, m_plus, root, tilde, rn, residual, inside
+    )

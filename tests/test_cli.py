@@ -119,6 +119,17 @@ def test_experiment_bad_config(tmp_path, capsys):
     assert code == 2 and err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("problem", ["embed", "common"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_experiment_m_offsets_reject_n_below_one(tmp_path, capsys, problem, n):
+    # Offsets are applied to a centre computed from log n.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": problem, "n_values": [n], "m_offsets": [0]}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert (code, out) == (2, "")
+    assert err == f"config error: m_offsets need n >= 1, got n={n}\n"
+
+
 def test_experiment_flagged_invalid_exit_code(tmp_path, capsys):
     config = {
         "problem": "embed",

@@ -128,16 +128,18 @@ CONFIG_VALUES = {
     "workers": st.sampled_from([1, 2]),
     "bogus": st.just(1),
 }
-# A valid small config, with some keys replaced by drawn (possibly bad) values.
+# A small config with either m_values or m_offsets (n = 0 is drawn too, which
+# m_offsets reject), with some keys replaced by drawn (possibly bad) values.
 CONFIG = st.builds(
-    lambda base, overrides: {**base, **overrides},
+    lambda base, sizes, overrides: {**base, **sizes, **overrides},
     st.fixed_dictionaries({
         "problem": st.sampled_from(["embed", "common"]),
-        "n_values": st.lists(st.integers(1, 10), min_size=1, max_size=2),
-        "m_values": st.lists(st.integers(0, 10), min_size=1, max_size=3),
+        "n_values": st.lists(st.integers(0, 10), min_size=1, max_size=2),
         "trials": st.integers(1, 4),
         "node_budget": st.integers(1, 10**4),
     }),
+    st.fixed_dictionaries({"m_values": st.lists(st.integers(0, 10), min_size=1, max_size=3)})
+    | st.fixed_dictionaries({"m_offsets": st.lists(st.integers(-3, 3), min_size=1, max_size=3)}),
     st.fixed_dictionaries({}, optional=CONFIG_VALUES),
 )
 CONFIG_TEXT = CONFIG | st.sampled_from(

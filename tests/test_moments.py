@@ -209,6 +209,30 @@ def test_second_moment_guard_and_variant_checks():
         second_moment_exact(4, 2, derive_params(0.5, 0.5), "nope")
 
 
+HALF = derive_params(0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda: second_moment_exact(3, 5, HALF, "embedding"),
+        lambda: second_moment_exact(3, 5, HALF, "common"),
+        lambda: second_moment_ratio(3, 5, HALF, "embedding"),
+        lambda: second_moment_ratio(3, 5, HALF, "common"),
+        lambda: s_bound(3, 5, 0.5),
+        lambda: t_dr(3, 5, HALF, 0, 0, "exact"),
+        lambda: ratio_decomposition(3, 5, HALF),
+    ],
+    ids=["exact-embedding", "exact-common", "ratio-embedding", "ratio-common", "s_bound",
+         "t_dr", "ratio_decomposition"],
+)
+def test_census_consumers_reject_m_above_n(consumer):
+    # One size rule for E N^2: m > n is a ParameterError from the census for
+    # both variants, not E N^2 = 0 for one and an invalid map for the other.
+    with pytest.raises(ParameterError, match=r"needs 0 <= m <= n, got n=3, m=5"):
+        consumer()
+
+
 def test_s_bound_dominates_ratio_and_relaxed_dominates_exact():
     for m, n in [(2, 3), (2, 4), (3, 4), (3, 5)]:
         for p in GRID_P:

@@ -56,6 +56,15 @@ def test_thresholds_reject_nonpositive_or_nonfinite_cn(cn):
         common_thresholds(1024, HALF, cn)
 
 
+@pytest.mark.parametrize("cn", [None, 1.0])
+def test_thresholds_reject_n_below_two(cn):
+    # The slack cn / log n would divide by log 1 = 0.
+    with pytest.raises(NTooSmallError):
+        embed_thresholds(1, cn)
+    with pytest.raises(NTooSmallError):
+        common_thresholds(1, HALF, cn)
+
+
 def test_region_membership_examples():
     assert in_admissible_region(0.5, 0.5)
     assert derive_params(0.5, 0.5).tau_jk(1, 2) == pytest.approx(0.25)
