@@ -52,26 +52,6 @@ def _printable(value: int, what: str) -> int:
     return value
 
 
-def _pair_space_log10(n: int, m: int, variant: str) -> float:
-    """A lower bound on log10 of the pair space, so that a huge instance is
-    rejected before anything computes it exactly; -inf unless 0 <= m <= n.
-
-    Below 2^53 it comes from lgamma, less a slack far above lgamma's rounding
-    error.  Above, lgamma's arguments would round, and with k = min(m, 2^52)
-    the bound (n)_m >= (n)_k >= (n/2)^k serves instead.
-    """
-    if not 0 <= m <= n:
-        return -math.inf
-    if n >= 2**53:
-        return 2.0 * min(m, 2**52) * (math.log10(n) - math.log10(2)) * (1.0 - 1e-12)
-    lg = math.lgamma
-    log_maps = lg(n + 1) - lg(n - m + 1)  # (n)_m
-    if variant == edgegraph.COMMON:
-        log_maps += lg(n + 1) - lg(m + 1) - lg(n - m + 1)  # C(n, m)
-    slack = 1.0 + 1e-12 * n * math.log(n + 2)
-    return (2.0 * log_maps - slack) / math.log(10)
-
-
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -199,7 +179,7 @@ def cmd_moments(args) -> int:
     n, m = args.n, args.m
     what = f"the pair space of n={n}, m={m}"
     digits = _max_str_digits()
-    if digits and _pair_space_log10(n, m, variant) > digits:
+    if digits and moments.pair_space_log10(n, m, variant) > digits:
         raise _too_long(what, digits)
     log_en = moments.expected_log(n, m, params, variant)
     space = moments.pair_space(n, m, variant)
@@ -208,18 +188,18 @@ def cmd_moments(args) -> int:
         "m": m,
         "variant": args.variant,
         "pair_space": _printable(space, what),
-        "expected": {"log": log_en, "value": math.exp(log_en)},
+        "expected": {"log": log_en, "value": moments.float_exp(log_en, "E N")},
     }
     if not args.first_only:
-        en2 = moments.second_moment_exact(n, m, params, variant, args.guard)
-        ratio = en2 * math.exp(-2.0 * log_en)
+        en2 = moments.second_moment_exact(n, m, params, variant)
+        ratio = moments.second_moment_ratio(n, m, params, variant)
         payload["second_moment"] = {"log": math.log(en2), "value": en2}
         payload["ratio"] = {"log": math.log(ratio), "value": ratio}
         if variant == edgegraph.EMBEDDING:
-            bounds = moments.s_bound(n, m, args.p, args.c, "exact", args.guard)
+            bounds = moments.s_bound(n, m, args.p, args.c, "exact")
             payload["s_bound"] = asdict(bounds)
         elif args.decompose:
-            dec = moments.ratio_decomposition(n, m, params, args.c, args.guard)
+            dec = moments.ratio_decomposition(n, m, params, args.c)
             payload["decomposition"] = _fields(dec, "c", "by_dr")
     _emit(payload, args.json)
     return EXIT_OK
@@ -359,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=0.5)
     sp.add_argument("--variant", choices=("embed", "common"), default="common")
     sp.add_argument("--c", type=float, default=0.75, help="split constant")
-    sp.add_argument("--guard", type=int, default=moments.DEFAULT_PAIR_GUARD)
     sp.add_argument("--first-only", action="store_true", help="skip the pair census")
     sp.add_argument("--decompose", action="store_true", help="per-class ratio breakdown")
     sp.add_argument("--json", action="store_true")

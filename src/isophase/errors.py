@@ -30,7 +30,7 @@ class BudgetExceededError(IsophaseError, RuntimeError):
 
 
 class ScaleError(IsophaseError, ValueError):
-    """Exact enumeration would exceed the configured pair guard."""
+    """An instance is too large to enumerate, or a value leaves the float range."""
 
 
 class ParameterError(IsophaseError, ValueError):

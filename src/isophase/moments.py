@@ -4,16 +4,28 @@ The first moment of the number of matchings has a closed form; the second
 moment is evaluated exactly from the census of pair graphs (the component
 decomposition), multiplying the census factors of each class.
 
-The census is built from one map instead of all ordered pairs.  Relabeling
-the host (S_n, for total injections) or both graphs (S_n x S_n, for partial
-injections) acts transitively on the maps and carries every pair graph to an
-isomorphic one with the same overlap statistics.  So each map f sees the same
-multiset of censuses over its partners g as the identity map on {0..m-1}
-does, and the census over all ordered pairs is |maps| times the identity's
-census.  Counts stay exact integers, and the cache keyed by the overlap
-statistics serves every (p, q).  A total injection is the partial injection
-on the domain {0..m-1}, so both censuses come from one pair-graph builder:
-the embedding census is the common census with that one domain.
+The census is built from one partner map per orbit class instead of all
+ordered pairs.  Relabeling both graphs (S_m x S_n for total injections,
+S_n x S_n for partial ones) acts transitively on the maps and carries every
+pair graph to an isomorphic one with the same overlap statistics, so the
+census over all ordered pairs is |maps| times the census of the identity
+map on [m] = {0..m-1} against every partner g.  The relabelings that fix the
+identity conjugate g on [m] and relabel the points outside [m] freely, so a
+partner's orbit is its class in the rook monoid with tagged chains: the
+cycle lengths of g on [m], and its maximal chains in [m], each tagged at its
+start (hit from a domain point outside [m], or not hit) and at its end
+(outside g's domain, or sent outside [m]).  With z = prod_k k^{a_k} a_k!
+over the a_k cycles of length k times prod c_t! over the c_t chains of each
+length and tags, s starts hit, b ends outside the domain and e ends sent
+outside, a class holds
+
+    m!/z * C(n-m, b) * (b)_s * (n-m)_{b-s+e}
+
+partners.  A total injection is the partial injection on the domain [m], so
+the embedding classes are those whose chains all start free and end sent
+outside (b = s = 0), and both censuses come from one pair-graph builder.
+The number of classes depends on m alone; counts stay exact integers, and
+the cache keyed by the overlap statistics serves every (p, q).
 
 Overlap classes:
 
@@ -33,17 +45,16 @@ and exponentiated once; big sums go through math.fsum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import islice
 from typing import Callable
 
 from . import edgegraph
 from .errors import ParameterError, RegionError, ScaleError, StructuralError, SymmetryError
 from .isosearch import PartialInjection
 from .thresholds import ModelParams, derive_params, in_admissible_region
-
-DEFAULT_PAIR_GUARD = 10**7
 
 # ---------------------------------------------------------------------------
 # integer combinatorics
@@ -97,6 +108,24 @@ def partial_space(n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# float range
+
+def float_exp(x: float, what: str) -> float:
+    """exp(x); a ScaleError naming `what` when it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ScaleError(f"{what} = exp({x!r}) overflows a float") from None
+
+
+def _in_float_range(value: float, what: str) -> float:
+    """value when positive and finite, so that its log is too; else a ScaleError."""
+    if not 0.0 < value < math.inf:
+        raise ScaleError(f"{what} = {value!r} leaves the float range")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # first moments
 
 def _log_falling(n: int, m: int) -> float:
@@ -115,7 +144,7 @@ def expected_embeddings(n: int, m: int) -> float:
     The host's edge law is symmetric under edge/non-edge swap, so the value
     carries no dependence on the pattern's edge probability.
     """
-    return math.exp(expected_embeddings_log(n, m))
+    return float_exp(expected_embeddings_log(n, m), "E N")
 
 
 def expected_common_log(n: int, m: int, params: ModelParams) -> float:
@@ -130,7 +159,7 @@ def expected_common_log(n: int, m: int, params: ModelParams) -> float:
 
 def expected_common(n: int, m: int, params: ModelParams) -> float:
     """E N for the common-subgraph problem: C(n,m) (n)_m tau^{C(m,2)}."""
-    return math.exp(expected_common_log(n, m, params))
+    return float_exp(expected_common_log(n, m, params), "E N")
 
 
 # ---------------------------------------------------------------------------
@@ -187,51 +216,149 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 
 Sig = tuple[tuple[int, int, int], ...]
 
+# A census builds one pair graph per orbit class, at about 5 us per domain
+# pair on a 2-core x86-64 host, so it admits at most
+# CLASS_BOUND // max(1, C(m, 2)) classes to stay under about a minute:
+# common m = 12 (76,705 classes) takes 27 s, embedding m = 21 (35,002) 29 s.
+CLASS_BOUND = 10**7
 
-def _identity_census(n: int, m: int, domains: list, bucket_of: Callable) -> dict:
-    """Census of all ordered pairs of maps with a domain in `domains`, from
-    the pairs (identity, g): bucket_of(profile) -> {(signature, components):
-    count}.
+# Chain tags (start hit from outside [m], end outside g's domain).  A partner
+# of a total injection has its whole domain in [m], so every chain starts
+# free and sends its end outside [m].
+_CHAIN_TAGS = {
+    edgegraph.EMBEDDING: ((False, False),),
+    edgegraph.COMMON: ((False, False), (False, True), (True, False), (True, True)),
+}
 
-    Exact because relabeling acts transitively on the maps and preserves the
-    pair graph up to isomorphism (see the module docstring).
+
+def _classes(n: int, m: int, variant: str):
+    """Orbit classes of partners of the identity, with their sizes, as
+    (class, size); classes of size 0 are left out.
+
+    A class is a tuple of ((length, tag), multiplicity): cycles have tag None,
+    chains a pair of tags.  s chains hit from outside [m], b chain ends
+    outside g's domain and e chain ends sent outside [m] give the size in the
+    module docstring, which is 0 unless s <= b <= n - m and b - s + e, the
+    chains that start free, is at most n - m.
     """
+    kinds = [(length, tag) for length in range(m, 0, -1)
+             for tag in (*_CHAIN_TAGS[variant], None) if (length, tag) != (1, None)]
+
+    def multisets(total, start, free, hit, out):
+        # Each call yields the class that fills `total` with fixed points, then
+        # those that take kinds[start:] first, within the chains left to
+        # start free, start hit and end outside the domain.
+        yield (((1, None), total),)
+        for i in range(start, len(kinds)):
+            length, tag = kinds[i]
+            most = total // length
+            if tag is not None:
+                most = min(most, hit if tag[0] else free, out if tag[1] else most)
+            for mult in range(1, most + 1):
+                left = total - mult * length
+                if tag is None:
+                    rests = multisets(left, i + 1, free, hit, out)
+                else:
+                    rests = multisets(left, i + 1, free - mult * (not tag[0]),
+                                      hit - mult * tag[0], out - mult * tag[1])
+                for rest in rests:
+                    yield ((length, tag), mult), *rest
+
+    for cls in multisets(m, 0, n - m, n - m, n - m):
+        z, s, b, e = 1, 0, 0, 0
+        for (length, tag), mult in cls:
+            z *= math.factorial(mult)
+            if tag is None:
+                z *= length**mult
+            else:
+                s += mult * tag[0]
+                b += mult * tag[1]
+                e += mult * (not tag[1])
+        if s <= b:
+            yield cls, (math.factorial(m) // z * binom(n - m, b) * falling_factorial(b, s)
+                        * falling_factorial(n - m, b - s + e))
+
+
+def _representative(m: int, cls: tuple) -> PartialInjection:
+    """A partner map of the class: cycles and chains laid on 0..m-1 in turn,
+    with fresh points from m on for the domain and range outside [m]."""
+    image_of: dict[int, int] = {}
+    pos, out_dom, out_img = 0, m, m
+    for (length, tag), mult in cls:
+        for _ in range(mult):
+            last = pos + length - 1
+            for u in range(pos, last):
+                image_of[u] = u + 1
+            if tag is None:
+                image_of[last] = pos
+            else:
+                hit, unmapped = tag
+                if hit:
+                    image_of[out_dom] = pos
+                    out_dom += 1
+                if not unmapped:
+                    image_of[last] = out_img
+                    out_img += 1
+            pos += length
+    while len(image_of) < m:  # domain points outside [m] sent outside [m]
+        image_of[out_dom] = out_img
+        out_dom += 1
+        out_img += 1
+    domain = tuple(sorted(image_of))
+    return PartialInjection(domain, tuple(image_of[u] for u in domain))
+
+
+@lru_cache(maxsize=32)
+def _census(n: int, m: int, variant: str) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
+    """Census of all ordered pairs of maps of `variant`: bucket by (r, ell)
+    for embedding, (d, r) for common -> {(signature, components): count}.
+
+    It needs 0 <= m <= n, at most CLASS_BOUND // C(m, 2) orbit classes,
+    counted before any pair graph is built, and a pair space within the
+    float range.  The pairs (identity, g) with g in one class have
+    isomorphic pair graphs, so each class builds one and counts its size
+    times |maps|.
+    """
+    _, count_maps, _ = _variant(variant)
+    if not 0 <= m <= n:
+        raise ParameterError(f"the pair census needs 0 <= m <= n, got n={n}, m={m}")
+    most = CLASS_BOUND // max(1, binom(m, 2))
+    classes = list(islice(_classes(n, m, variant), most + 1))
+    if len(classes) > most:
+        raise ScaleError(f"the census of n={n}, m={m} has more than {most} orbit classes")
+    maps = count_maps(n, m)
+    if maps**2 > sys.float_info.max:
+        raise ScaleError(f"the pair space of n={n}, m={m} exceeds the float range")
     identity = PartialInjection(tuple(range(m)), tuple(range(m)))
     buckets: dict = {}
-    for dom in domains:
-        for img in permutations(range(n), m):
-            prof = edgegraph.classify_components(
-                edgegraph.build_common_edge_graph(identity, PartialInjection(dom, img))
-            )
-            inner = buckets.setdefault(bucket_of(prof), {})
-            entry = (prof.census_signature(), prof.n_components)
-            inner[entry] = inner.get(entry, 0) + 1
-    orbit = len(domains) * falling_factorial(n, m)
-    return {key: {entry: cnt * orbit for entry, cnt in inner.items()}
-            for key, inner in buckets.items()}
-
-
-@lru_cache(maxsize=32)
-def _embedding_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
-    """For every ordered pair of total injections, the partial injections on
-    the domain 0..m-1: bucket by (r, ell)."""
-    return _identity_census(n, m, [tuple(range(m))], lambda prof: (prof.r, prof.ell))
-
-
-@lru_cache(maxsize=32)
-def _common_census(n: int, m: int) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
-    """For every ordered pair of partial injections: bucket by (d, r)."""
-    return _identity_census(n, m, list(combinations(range(n), m)), lambda prof: (prof.d, prof.r))
+    for cls, size in classes:
+        prof = edgegraph.classify_components(
+            edgegraph.build_common_edge_graph(identity, _representative(m, cls))
+        )
+        key = (prof.r, prof.ell) if variant == edgegraph.EMBEDDING else (prof.d, prof.r)
+        inner = buckets.setdefault(key, {})
+        entry = (prof.census_signature(), prof.n_components)
+        inner[entry] = inner.get(entry, 0) + size * maps
+    return buckets
 
 
 def _variant(variant: str) -> tuple[Callable, Callable, Callable]:
-    """(log E N, number of ordered map pairs, census) of `variant`."""
+    """(log E N, number of maps, lgamma form of log |maps|) of `variant`."""
     if variant == edgegraph.EMBEDDING:
-        return (lambda n, m, _params: expected_embeddings_log(n, m),
-                injection_pair_space, _embedding_census)
+        return (lambda n, m, _params: expected_embeddings_log(n, m), falling_factorial,
+                _lgamma_falling)
     if variant == edgegraph.COMMON:
-        return expected_common_log, lambda n, m: partial_space(n, m) ** 2, _common_census
+        return (expected_common_log, partial_space,
+                lambda n, m: _lgamma_falling(n, m) + _lgamma_binom(n, m))
     raise ParameterError(f"unknown variant {variant!r}")
+
+
+def _lgamma_falling(n: int, m: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(n - m + 1)
+
+
+def _lgamma_binom(n: int, m: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
 
 
 def expected_log(n: int, m: int, params: ModelParams, variant: str) -> float:
@@ -241,23 +368,35 @@ def expected_log(n: int, m: int, params: ModelParams, variant: str) -> float:
 
 def pair_space(n: int, m: int, variant: str) -> int:
     """Number of ordered map pairs that the census of `variant` sums over."""
-    return _variant(variant)[1](n, m)
+    return _variant(variant)[1](n, m) ** 2
 
 
-def _census(n: int, m: int, variant: str, pair_guard: int) -> dict:
-    """The cached census of `variant`, for 0 <= m <= n, once the ordered map
-    pairs it represents pass the guard."""
-    _, space, census = _variant(variant)
+def pair_space_log10(n: int, m: int, variant: str) -> float:
+    """A lower bound on log10 of the pair space, so that a huge instance is
+    rejected before anything computes it exactly; -inf unless 0 <= m <= n.
+
+    Below 2^53 it comes from lgamma, less a slack far above lgamma's rounding
+    error.  Above, lgamma's arguments would round, and with k = min(m, 2^52)
+    the bound (n)_m >= (n)_k >= (n/2)^k serves instead.
+    """
+    log_maps = _variant(variant)[2]
     if not 0 <= m <= n:
-        raise ParameterError(f"the pair census needs 0 <= m <= n, got n={n}, m={m}")
-    pairs = space(n, m)
-    if pairs > pair_guard:
-        raise ScaleError(f"{pairs} map pairs exceed the guard {pair_guard}; shrink the instance")
-    return census(n, m)
+        return -math.inf
+    if n >= 2**53:
+        return 2.0 * min(m, 2**52) * (math.log10(n) - math.log10(2)) * (1.0 - 1e-12)
+    slack = 1.0 + 1e-12 * n * math.log(n + 2)
+    return (2.0 * log_maps(n, m) - slack) / math.log(10)
+
+
+def _log_tau(params: ModelParams, j: int, k: int) -> float:
+    tau = params.tau_jk(j, k)
+    if tau == 0.0:
+        raise ScaleError(f"tau_{{{j},{k}}} underflows to 0 at p={params.p!r}, q={params.q!r}")
+    return math.log(tau)
 
 
 def _sig_log_moment(sig: Sig, params: ModelParams) -> float:
-    return math.fsum(cnt * math.log(params.tau_jk(j, k)) for j, k, cnt in sig)
+    return math.fsum(cnt * _log_tau(params, j, k) for j, k, cnt in sig)
 
 
 def second_moment_exact(
@@ -265,7 +404,6 @@ def second_moment_exact(
     m: int,
     params: ModelParams,
     variant: str = edgegraph.COMMON,
-    pair_guard: int = DEFAULT_PAIR_GUARD,
 ) -> float:
     """E N^2 summed exactly over all ordered map pairs via the census.
 
@@ -274,12 +412,13 @@ def second_moment_exact(
     """
     if variant == edgegraph.EMBEDDING and params.q != 0.5:
         raise ParameterError("embedding moments are defined for q = 1/2")
-    buckets = _census(n, m, variant, pair_guard)
-    return math.fsum(
+    buckets = _census(n, m, variant)
+    en2 = math.fsum(
         cnt * math.exp(_sig_log_moment(sig, params))
         for key in sorted(buckets)
         for (sig, _), cnt in sorted(buckets[key].items())
     )
+    return _in_float_range(en2, "E N^2")
 
 
 def second_moment_ratio(
@@ -287,11 +426,11 @@ def second_moment_ratio(
     m: int,
     params: ModelParams,
     variant: str = edgegraph.COMMON,
-    pair_guard: int = DEFAULT_PAIR_GUARD,
 ) -> float:
     """Exact E N^2 / (E N)^2 on an enumerable instance."""
-    en2 = second_moment_exact(n, m, params, variant, pair_guard)
-    return en2 * math.exp(-2.0 * expected_log(n, m, params, variant))
+    en2 = second_moment_exact(n, m, params, variant)
+    log_en = expected_log(n, m, params, variant)
+    return _in_float_range(en2 * float_exp(-2.0 * log_en, "(E N)^-2"), "E N^2/(E N)^2")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +458,6 @@ def s_bound(
     p: float,
     c: float = 0.75,
     mode: str = "exact",
-    pair_guard: int = DEFAULT_PAIR_GUARD,
 ) -> MomentBounds:
     """Majorant S of E N^2/(E N)^2 for the embedding problem.
 
@@ -350,7 +488,7 @@ def s_bound(
         return MomentBounds(c, s_one + s_two, s_one, s_two, psi)
     if mode != "exact":
         raise ParameterError(f"unknown mode {mode!r}")
-    buckets = _census(n, m, edgegraph.EMBEDDING, pair_guard)
+    buckets = _census(n, m, edgegraph.EMBEDDING)
     s_one_terms: list[float] = []
     s_two_terms: list[float] = []
     log_phat = math.log(phat) if phat < 1.0 else 0.0
@@ -400,7 +538,6 @@ def t_dr(
     r: int,
     mode: str = "exact",
     c: float = 0.75,
-    pair_guard: int = DEFAULT_PAIR_GUARD,
 ) -> float:
     """One overlap class's share of E N^2/(E N)^2 (common-subgraph problem).
 
@@ -411,12 +548,12 @@ def t_dr(
     """
     space = partial_space(n, m)
     if mode == "exact":
-        inner = _census(n, m, edgegraph.COMMON, pair_guard).get((d, r))
+        inner = _census(n, m, edgegraph.COMMON).get((d, r))
         if not inner:
             return 0.0
         log_norm = 2.0 * binom(m, 2) * math.log(params.tau)
         total = math.fsum(
-            cnt * math.exp(_sig_log_moment(sig, params) - log_norm)
+            cnt * float_exp(_sig_log_moment(sig, params) - log_norm, "E J_f J_g / (E J)^2")
             for (sig, _), cnt in sorted(inner.items())
         )
         return total / space**2
@@ -465,17 +602,16 @@ def ratio_decomposition(
     m: int,
     params: ModelParams,
     c: float = 0.75,
-    pair_guard: int = DEFAULT_PAIR_GUARD,
 ) -> RatioDecomposition:
     """Exact t_dr for every overlap class plus the grouped five-term split."""
     if not 0.0 < c < 1.0:
         raise ParameterError("split constant c must lie in (0, 1)")
-    _census(n, m, edgegraph.COMMON, pair_guard)  # the guard, once; t_dr reads the cache
+    _census(n, m, edgegraph.COMMON)  # the size rules, once; t_dr reads the cache
     space = partial_space(n, m)
     by_dr: dict[tuple[int, int], float] = {}
     for d in range(m + 1):
         for r in range(m + 1):
-            val = t_dr(n, m, params, d, r, "exact", c, pair_guard)
+            val = t_dr(n, m, params, d, r, "exact", c)
             if val:
                 by_dr[(d, r)] = val
     disjoint = by_dr.get((0, 0), 0.0)
@@ -496,6 +632,7 @@ def ratio_decomposition(
     lower = (
         count_H_dr(n, m, m, 0)
         / space**2
-        * math.exp(binom(m, 2) * (math.log(t12) - 2.0 * math.log(params.tau)))
+        * float_exp(binom(m, 2) * (math.log(t12) - 2.0 * math.log(params.tau)),
+                    "(tau_{1,2}/tau^2)^C(m,2)")
     )
     return RatioDecomposition(c, disjoint, full, low, high, swapped, total, lower, by_dr)

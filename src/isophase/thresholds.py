@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 from .errors import NTooSmallError, ParameterError
 
-_LN2PI = math.log(2.0 * math.pi)
 _ROOT_TOL = 1e-10  # the largest |W(m_*) - R(n)| m_star accepts
 
 
@@ -144,6 +143,8 @@ def w_eval(x: float, lam: float, order: int = 0) -> float:
 
 def r_of_n(n: float, lam: float) -> float:
     """Right-hand side R(n) = 4*lam*log(n) + 2*lam + 1 of the root equation."""
+    if not n > 0:
+        raise NTooSmallError(f"n={n} too small: the root equation needs n > 0")
     return 4.0 * lam * math.log(n) + 2.0 * lam + 1.0
 
 

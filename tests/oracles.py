@@ -3,21 +3,29 @@
 Everything here recomputes quantities from first principles - enumerating
 graphs, injections or subset pairs directly - and never touches the pair
 graph census, the closed-form cardinalities, or the solvers' pruning logic,
-so agreement with the library is meaningful evidence.  The one exception,
-`census_all_pairs`, takes the caller's pair classifier and checks only the
-library's use of relabeling symmetry, by sweeping every ordered pair.
+so agreement with the library is meaningful evidence.  The exceptions,
+`census_all_pairs` and `identity_census`, use the library's pair classifier
+and check only its use of relabeling symmetry: the first sweeps every
+ordered pair, the second pairs the identity with every map.
 The pair-graph references at the end build an EdgeGraph straight from two
 total injections and count zcal pair by pair, without the library's builder.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from isophase.edgegraph import EdgeGraph
+from isophase.edgegraph import (
+    EMBEDDING,
+    EdgeGraph,
+    build_common_edge_graph,
+    classify_components,
+)
+from isophase.isosearch import PartialInjection
 
 
 def pair_positions(n: int) -> list[tuple[int, int]]:
@@ -158,7 +166,8 @@ def overlap_histogram_common(n: int, m: int) -> dict[tuple[int, int, int], int]:
 
 
 # ---------------------------------------------------------------------------
-# census over every ordered map pair (reference for the identity-map census)
+# censuses over every ordered map pair and over every partner of the identity
+# (references for the orbit census)
 
 def census_all_pairs(maps: list, classify) -> dict:
     """key -> {entry: count} over all ordered pairs (f, g) of maps, where
@@ -170,6 +179,30 @@ def census_all_pairs(maps: list, classify) -> dict:
             inner = buckets.setdefault(key, {})
             inner[entry] = inner.get(entry, 0) + 1
     return buckets
+
+
+def identity_census(n: int, m: int, variant: str) -> dict:
+    """The census of `variant` from the pairs (identity, g) over every map g,
+    scaled by the number of maps: key -> {(signature, components): count},
+    keyed by (r, ell) for embedding and (d, r) for common.
+
+    Exact because relabeling acts transitively on the maps and carries each
+    pair graph to an isomorphic one.  Its cost grows as C(n, m) (n)_m.
+    """
+    domains = ([tuple(range(m))] if variant == EMBEDDING
+               else list(combinations(range(n), m)))
+    identity = PartialInjection(tuple(range(m)), tuple(range(m)))
+    buckets: dict = {}
+    for dom in domains:
+        for img in permutations(range(n), m):
+            prof = classify_components(build_common_edge_graph(identity, PartialInjection(dom, img)))
+            key = (prof.r, prof.ell) if variant == EMBEDDING else (prof.d, prof.r)
+            inner = buckets.setdefault(key, {})
+            entry = (prof.census_signature(), prof.n_components)
+            inner[entry] = inner.get(entry, 0) + 1
+    maps = len(domains) * math.perm(n, m)
+    return {key: {entry: cnt * maps for entry, cnt in inner.items()}
+            for key, inner in buckets.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,32 @@ def test_moments_workers_flag_removed(capsys):
     assert code == 2 and "unrecognized arguments: --workers" in err
 
 
+def test_moments_guard_flag_removed(capsys):
+    code, _, err = run_cli(capsys, "moments", "--n", "4", "--m", "2", "--guard", "10")
+    assert code == 2 and "unrecognized arguments: --guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("--n", "1000000000", "--m", "40", "--first-only"), "E N = exp(1006.88"),
+        (("--n", "12", "--m", "12", "--p", "1e-300", "--q", "0.9999999999999999"),
+         "tau_{21,21} underflows to 0"),
+        (("--n", "12", "--m", "12", "--p", "0.001", "--q", "0.999"), "(E N)^-2 = exp("),
+        (("--n", "1000000", "--m", "14"), "the census of n=1000000, m=14 has more than "),
+        (("--n", str(10**16), "--m", "10", "--variant", "embed"),
+         f"the pair space of n={10**16}, m=10 exceeds the float range"),
+    ],
+    ids=["en-overflow", "tau-underflow", "ratio-overflow", "class-bound", "pair-space"],
+)
+def test_moments_out_of_range_is_one_line(capsys, argv, what):
+    # Values that leave the float range and censuses too large to run exit 2
+    # with one line; E N's overflow used to be an OverflowError traceback.
+    code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {what}") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

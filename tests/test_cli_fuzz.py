@@ -103,7 +103,7 @@ MOMENTS = cat(
     st.just(["moments"]), req("--n", ints(-1, 6)), req("--m", ints(-1, 7)),
     opt("--p", probs()), opt("--q", probs()),
     opt("--variant", st.sampled_from(["embed", "common", "both"])),
-    opt("--c", probs() | ints(-2, 3)), opt("--guard", ints(-1, 10**7)),
+    opt("--c", probs() | ints(-2, 3)),
     flag("--first-only"), flag("--decompose"), flag("--json"),
 )
 VERIFY = cat(

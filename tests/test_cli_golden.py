@@ -40,7 +40,8 @@ def _mask_wall_ms(name: str, text: str) -> str:
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
-def test_cli_output_is_unchanged(case, tmp_path, capsys):
+def test_cli_output_is_unchanged(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage errors to the terminal width
     tmp = str(tmp_path)
     inputs = case.get("inputs", {})
     for name, text in inputs.items():

@@ -200,9 +200,11 @@ def test_second_moment_matches_graph_pair_oracle():
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_second_moment_guard_and_variant_checks():
+def test_second_moment_guard_and_variant_checks(monkeypatch):
+    moments._census.cache_clear()
+    monkeypatch.setattr(moments, "CLASS_BOUND", 100)
     with pytest.raises(ScaleError):
-        second_moment_exact(12, 6, derive_params(0.5, 0.5), "common", pair_guard=1000)
+        second_moment_exact(12, 6, derive_params(0.5, 0.5), "common")
     with pytest.raises(ParameterError):
         second_moment_exact(4, 2, derive_params(0.5, 0.6), "embedding")
     with pytest.raises(ParameterError):
@@ -393,24 +395,94 @@ def _classify_common(f, g):
 
 
 def test_census_equals_all_pairs_oracle():
-    # The identity-map census, scaled by the number of maps, must equal the
-    # sweep over every ordered pair, bucket for bucket and count for count.
+    # The orbit census must equal the sweep over every ordered pair, bucket
+    # for bucket and count for count.
     for n, m in [(3, 2), (4, 2), (4, 3)]:
         maps = [
             PartialInjection(dom, img)
             for dom in combinations(range(n), m)
             for img in permutations(range(n), m)
         ]
-        moments._common_census.cache_clear()
-        assert moments._common_census(n, m) == oracles.census_all_pairs(
+        moments._census.cache_clear()
+        assert moments._census(n, m, "common") == oracles.census_all_pairs(
             maps, _classify_common
         ), (n, m)
     for n, m in [(4, 3), (5, 3)]:
         maps = [Injection(m, n, img) for img in permutations(range(n), m)]
-        moments._embedding_census.cache_clear()
-        assert moments._embedding_census(n, m) == oracles.census_all_pairs(
+        moments._census.cache_clear()
+        assert moments._census(n, m, "embedding") == oracles.census_all_pairs(
             maps, _classify_embedding
         ), (n, m)
+
+
+@pytest.mark.parametrize(
+    "variant, n, m",
+    [("embedding", n, m) for n, m in [(0, 0), (3, 0), (4, 4), (6, 3), (7, 4), (8, 4), (7, 5),
+                                      (10, 4)]]
+    + [("common", n, m) for n, m in [(0, 0), (3, 0), (4, 4), (5, 4), (6, 4), (7, 3), (7, 4)]],
+)
+def test_census_equals_identity_census(variant, n, m):
+    # One partner per orbit class, weighted by the class size, against the
+    # identity paired with every map: m = 0, m = n, and n on both sides of
+    # 2m, below which some classes have no partners.
+    moments._census.cache_clear()
+    assert moments._census(n, m, variant) == oracles.identity_census(n, m, variant)
+
+
+@pytest.mark.parametrize("variant, m", [("embedding", 6), ("common", 4)])
+def test_census_cost_does_not_depend_on_n(monkeypatch, variant, m):
+    calls = []
+    build = moments.edgegraph.build_common_edge_graph
+    monkeypatch.setattr(moments.edgegraph, "build_common_edge_graph",
+                        lambda f, g: calls.append(1) or build(f, g))
+    built = []
+    for n in (2 * m, 10**6):
+        moments._census.cache_clear()
+        calls.clear()
+        moments._census(n, m, variant)
+        built.append(len(calls))
+    assert built[0] == built[1] > 0
+
+
+@pytest.mark.parametrize(
+    "variant, n, m, ratio",
+    [("embedding", 32, 9, 1.185), ("embedding", 32, 10, 1.592), ("embedding", 32, 11, 11.94),
+     ("embedding", 32, 12, 836.6), ("embedding", 1024, 14, 1.0002), ("common", 12, 7, 1.211),
+     ("common", 12, 9, 14.62)],
+)
+def test_second_moment_ratio_at_the_threshold(variant, n, m, ratio):
+    # E N^2/(E N)^2 where no reference census can run, at p = q = 1/2.
+    assert second_moment_ratio(n, m, HALF, variant) == pytest.approx(ratio, rel=1e-3)
+
+
+def test_census_class_bound_stops_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(moments.edgegraph, "build_common_edge_graph",
+                        lambda f, g: calls.append(1))
+    moments._census.cache_clear()
+    with pytest.raises(ScaleError, match="orbit classes"):
+        second_moment_exact(10**6, 14, HALF, "common")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda: second_moment_exact(12, 12, derive_params(1e-300, 0.9999999999999999)),
+        lambda: second_moment_ratio(12, 12, derive_params(1e-300, 0.9999999999999999)),
+        lambda: ratio_decomposition(12, 12, derive_params(1e-300, 0.9999999999999999)),
+        lambda: second_moment_ratio(12, 12, derive_params(0.001, 0.999)),
+        lambda: s_bound(10**16, 10, 0.5),
+    ],
+    ids=["tau-underflow-exact", "tau-underflow-ratio", "tau-underflow-decomposition",
+         "ratio-overflow", "pair-space-overflow"],
+)
+def test_float_range_is_a_scale_error(consumer):
+    # tau_{j,k} = 0 in floats at p = 1e-300, q = 1 - 2^-53; at p = 0.001,
+    # q = 0.999, log E N is about -390, so (E N)^-2 overflows; (10^16)_10
+    # squared, about 10^320, would overflow each census term.
+    with pytest.raises(ScaleError):
+        consumer()
 
 
 def test_tau_power_inequalities():

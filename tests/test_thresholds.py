@@ -147,6 +147,15 @@ def test_m_star_defined_down_to_one():
         m_star(0.5, HALF)
 
 
+@pytest.mark.parametrize("n", [0, -3, 0.0])
+def test_root_equation_rejects_nonpositive_n(n):
+    # log n is undefined there: a NTooSmallError, not a math domain error.
+    with pytest.raises(NTooSmallError):
+        m_star(n, HALF)
+    with pytest.raises(NTooSmallError):
+        m_star_approx(n, HALF)
+
+
 def test_m_star_approx_gap_decreasing():
     gaps = []
     for n in (10**3, 10**6, 10**9):
