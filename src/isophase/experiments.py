@@ -1,11 +1,22 @@
 """Seeded Monte Carlo sweeps over (n, m) cells for both matching problems.
 
-Every trial derives its seed by folding (master_seed, n, m, trial, stream)
-through splitmix64, so tallies depend only on the configuration, never on
-the order cells run in.  Budget-exceeded trials are tallied as unknowns
-and excluded from the success estimate; a sweep where any cell has more than
-5% unknowns is flagged invalid, because the transition statements concern
-true existence rather than solver give-ups.
+Both events are monotone in m: a prefix of an embedded pattern embeds, and
+a common induced subgraph on m vertices contains one on m - 1.  So one draw
+per (n, trial) serves every m cell of that n.  Trial t's seeds fold
+(master_seed, n, t, stream) through splitmix64.  Embedding draws one pattern
+on n's largest m, whose prefix on 0..m-1 is cell m's G(m, p) pattern, and one
+host; the common problem draws both graphs on n vertices.  The cells are
+searched in ascending m, each search with its own node budget, until one is
+not FOUND: a refutation settles every larger cell as a failure without a
+search, and a budget stop leaves that cell and every larger one unknown.
+
+A row's `mean_nodes` is the mean over trials of the nodes of that cell's own
+searches, a settled cell adding 0, so node totals add across rows; its
+`wall_ms` is the time of those searches, and the row of n's smallest m also
+carries the time spent sampling.  Budget-exceeded trials are tallied as
+unknowns and excluded from the success estimate; a sweep where any cell has
+more than 5% unknowns is flagged invalid, because the transition statements
+concern true existence rather than solver give-ups.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, get_type_hints
 
 from .errors import InvalidInputError, ParameterError
-from .graphs import EdgeLaw, sample_gnp
+from .graphs import EdgeLaw, induced_subgraph, sample_gnp
 from .isosearch import BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, common_exists, embed_exists
 from .rng import fold_seed
 from .thresholds import derive_params, embed_center, m_star
@@ -187,40 +198,49 @@ def locate_empirical_threshold(rows: Sequence[CellResult]) -> Optional[float]:
     return None
 
 
-def _run_cell(config: ExperimentConfig, n: int, m: int) -> CellResult:
-    successes = 0
-    unknowns = 0
-    total_nodes = 0
-    start = time.perf_counter()
+def _run_n(config: ExperimentConfig, n: int) -> list[CellResult]:
+    """Every m cell of n from one draw per trial, scanned in ascending m."""
+    sizes = config.resolve_m_values(n)
+    embed = config.problem == PROBLEM_EMBED
+    successes = [0] * len(sizes)
+    unknowns = [0] * len(sizes)
+    nodes = [0] * len(sizes)
+    seconds = [0.0] * len(sizes)
     for t in range(config.trials):
-        x_seed = fold_seed(config.master_seed, n, m, t, 0)
-        y_seed = fold_seed(config.master_seed, n, m, t, 1)
-        if config.problem == PROBLEM_EMBED:
-            x = sample_gnp(EdgeLaw(m, config.p, x_seed))
-            y = sample_gnp(EdgeLaw(n, config.q, y_seed))
-            outcome = embed_exists(x, y, config.node_budget)
-        else:
-            x = sample_gnp(EdgeLaw(n, config.p, x_seed))
-            y = sample_gnp(EdgeLaw(n, config.q, y_seed))
-            outcome = common_exists(x, y, m, config.node_budget)
-        total_nodes += outcome.nodes
-        if outcome.status == FOUND:
-            successes += 1
-        elif outcome.status == BUDGET_EXCEEDED:
-            unknowns += 1
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0))
-    determined = config.trials - unknowns
-    p_hat, ci_low, ci_high = estimate_probability(successes, determined)
-    return CellResult(
-        config.problem, n, m, config.p, config.q, config.trials,
-        successes, unknowns, p_hat, ci_low, ci_high,
-        total_nodes / config.trials, wall_ms, config.master_seed,
-    )
+        start = time.perf_counter()
+        x = sample_gnp(EdgeLaw(sizes[-1] if embed else n, config.p,
+                               fold_seed(config.master_seed, n, t, 0)))
+        y = sample_gnp(EdgeLaw(n, config.q, fold_seed(config.master_seed, n, t, 1)))
+        seconds[0] += time.perf_counter() - start
+        for i, m in enumerate(sizes):
+            start = time.perf_counter()
+            if embed:
+                outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
+            else:
+                outcome = common_exists(x, y, m, config.node_budget)
+            seconds[i] += time.perf_counter() - start
+            nodes[i] += outcome.nodes
+            if outcome.status == FOUND:
+                successes[i] += 1
+                continue
+            if outcome.status == BUDGET_EXCEEDED:
+                for j in range(i, len(sizes)):
+                    unknowns[j] += 1
+            break
+    rows = []
+    for i, m in enumerate(sizes):
+        p_hat, ci_low, ci_high = estimate_probability(successes[i], config.trials - unknowns[i])
+        rows.append(CellResult(
+            config.problem, n, m, config.p, config.q, config.trials,
+            successes[i], unknowns[i], p_hat, ci_low, ci_high,
+            nodes[i] / config.trials, int(round(seconds[i] * 1000.0)), config.master_seed,
+        ))
+    return rows
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every (n, m) cell; rows come sorted by n, then m."""
-    rows = [_run_cell(config, n, m) for n in config.n_values for m in config.resolve_m_values(n)]
+    rows = [row for n in config.n_values for row in _run_n(config, n)]
     rows.sort(key=lambda row: (row.n, row.m))
     thresholds = {}
     for n in config.n_values:

@@ -8,11 +8,12 @@ uniform draw per unordered pair in lexicographic order, so a given
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMapError, InvalidSubsetError, ParameterError, SizeError
-from .rng import Xoshiro256StarStar
+from .rng import MASK64, Xoshiro256StarStar
 
 MAX_VERTICES = 4096
 
@@ -103,16 +104,29 @@ def sample_gnp(law: EdgeLaw) -> Graph:
     """Draw one G(n, p) graph.
 
     Pairs {i, j}, i < j, are visited in lexicographic order and each consumes
-    exactly one uniform draw; the edge is present iff the draw is < p.
+    exactly one uniform draw; the edge is present iff the draw is < p.  The
+    xoshiro256** step is inlined on local state words, and the draw
+    (u >> 11) * 2^-53 < p is tested as u < ceil(p * 2^53) << 11 on the raw
+    64-bit output u, which is exact because scaling by 2^53 is.
     """
-    n, p = law.n, law.p
+    n = law.n
+    below = math.ceil(law.p * 9007199254740992.0) << 11  # 2^53
     stream = Xoshiro256StarStar(law.seed)
+    s0, s1, s2, s3 = stream.s0, stream.s1, stream.s2, stream.s3
     rows = [0] * n
-    rand = stream.random
     for i in range(n):
         row_i = rows[i]
         for j in range(i + 1, n):
-            if rand() < p:
+            x = s1 * 5 & MASK64
+            u = ((x << 7 | x >> 57) & MASK64) * 9 & MASK64
+            t = s1 << 17 & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & MASK64
+            if u < below:
                 row_i |= 1 << j
                 rows[j] |= 1 << i
         rows[i] = row_i

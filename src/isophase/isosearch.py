@@ -127,7 +127,8 @@ def _search(xrows, yrows, m: int, budget: int, count_all: bool):
     AND, and it is level k's candidate set once cu[k] moves up.  Both rows
     of an image exclude the image itself, so no used-vertex mask is needed.
     The last level is settled in one step: its candidates are the witnesses,
-    or are counted all at once.
+    or are counted all at once.  When m equals both vertex counts, graphs
+    whose sorted degree sequences differ are refuted before any node.
 
     Nodes count assignments tried, and every counted node is checked against
     the budget.  Returns (count, (domain, image) or None, nodes, exceeded).
@@ -139,6 +140,8 @@ def _search(xrows, yrows, m: int, budget: int, count_all: bool):
         raise SizeError(f"subgraph size {m} exceeds a graph's vertex count")
     if m == 0:
         return 1, ((), ()), 0, False
+    if m == ny == n and sorted(map(int.bit_count, xrows)) != sorted(map(int.bit_count, yrows)):
+        return 0, None, 0, False  # an isomorphism keeps the degree sequence
     fully = (1 << ny) - 1
     rows = [(~row & fully & ~(1 << w), row) for w, row in enumerate(yrows)]
     last = m - 1

@@ -480,12 +480,16 @@ def s_bound(
     if mode == "relaxed":
         s_one_terms = [1.0]
         s_two_terms = [0.0]
-        for r in range(1, m + 1):
-            term = 2.0 ** binom(r, 2) * count_H_r(n, m, r) / space
-            (s_one_terms if r <= c * m else s_two_terms).append(term)
-        s_one = math.fsum(s_one_terms)
-        s_two = math.fsum(s_two_terms)
-        return MomentBounds(c, s_one + s_two, s_one, s_two, psi)
+        try:
+            for r in range(1, m + 1):
+                term = 2.0 ** binom(r, 2) * count_H_r(n, m, r) / space
+                (s_one_terms if r <= c * m else s_two_terms).append(term)
+            s_one = math.fsum(s_one_terms)
+            s_two = math.fsum(s_two_terms)
+        except OverflowError:
+            s_one = s_two = math.inf
+        s_total = _in_float_range(s_one + s_two, f"the relaxed S of n={n}, m={m}")
+        return MomentBounds(c, s_total, s_one, s_two, psi)
     if mode != "exact":
         raise ParameterError(f"unknown mode {mode!r}")
     buckets = _census(n, m, edgegraph.EMBEDDING)

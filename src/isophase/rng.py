@@ -34,7 +34,7 @@ def fold_seed(seed: int, *parts: int) -> int:
 
     The accumulator starts at `seed`; each component is XORed in and passed
     through one splitmix64 output step.  Used to derive per-trial seeds from
-    (master_seed, n, m, trial, stream) tuples.
+    (master_seed, n, trial, stream) tuples.
     """
     acc = seed & MASK64
     for v in parts:

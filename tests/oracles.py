@@ -7,8 +7,10 @@ so agreement with the library is meaningful evidence.  The exceptions,
 `census_all_pairs` and `identity_census`, use the library's pair classifier
 and check only its use of relabeling symmetry: the first sweeps every
 ordered pair, the second pairs the identity with every map.
-The pair-graph references at the end build an EdgeGraph straight from two
-total injections and count zcal pair by pair, without the library's builder.
+The pair-graph references build an EdgeGraph straight from two total
+injections and count zcal pair by pair, without the library's builder.  The
+sampler and sweep references at the end are the plain loops that the
+library's inlined sampler and coupled sweep replace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from isophase.edgegraph import (
     build_common_edge_graph,
     classify_components,
 )
-from isophase.isosearch import PartialInjection
+from isophase.experiments import PROBLEM_EMBED
+from isophase.graphs import EdgeLaw, Graph, induced_subgraph
+from isophase.isosearch import PartialInjection, common_exists, embed_exists
+from isophase.rng import Xoshiro256StarStar, fold_seed
 
 
 def pair_positions(n: int) -> list[tuple[int, int]]:
@@ -306,3 +311,42 @@ def zcal_reference(f, g) -> int:
         for b in common[i + 1:]
         if _sorted_pair(fmap[a], fmap[b]) == _sorted_pair(gmap[a], gmap[b])
     )
+
+
+# ---------------------------------------------------------------------------
+# the sampler and the per-cell sweep (references for the inlined sampler and
+# the coupled sweep)
+
+def sample_gnp_reference(law: EdgeLaw) -> Graph:
+    """G(n, p) drawn through the stream's methods: one random() per pair
+    {i, j}, i < j, in lexicographic order, the edge present iff it is < p."""
+    stream = Xoshiro256StarStar(law.seed)
+    rows = [0] * law.n
+    for i in range(law.n):
+        for j in range(i + 1, law.n):
+            if stream.random() < law.p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(law.n, rows)
+
+
+def per_cell_outcomes(config) -> dict:
+    """(n, m) -> the SearchOutcome of every trial, each cell searched on its
+    own: trial t's graphs are the coupled sweep's (one pattern on n's
+    largest m, whose prefixes are the cells' patterns, or two graphs on n
+    vertices), but no cell is settled by another."""
+    out: dict = {}
+    for n in config.n_values:
+        sizes = config.resolve_m_values(n)
+        embed = config.problem == PROBLEM_EMBED
+        for t in range(config.trials):
+            x = sample_gnp_reference(EdgeLaw(
+                sizes[-1] if embed else n, config.p, fold_seed(config.master_seed, n, t, 0)))
+            y = sample_gnp_reference(EdgeLaw(n, config.q, fold_seed(config.master_seed, n, t, 1)))
+            for m in sizes:
+                if embed:
+                    outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
+                else:
+                    outcome = common_exists(x, y, m, config.node_budget)
+                out.setdefault((n, m), []).append(outcome)
+    return out

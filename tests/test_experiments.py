@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+import oracles
+from isophase import experiments
 from isophase.cli import main
 from isophase.errors import InvalidInputError, ParameterError
 from isophase.experiments import (
     CSV_COLUMNS,
+    PROBLEM_EMBED,
     CellResult,
     ExperimentConfig,
     SweepResult,
@@ -16,6 +19,7 @@ from isophase.experiments import (
     parse_csv,
     run_sweep,
 )
+from isophase.isosearch import BUDGET_EXCEEDED, FOUND
 
 
 def _row(m, p_hat, n=16):
@@ -176,10 +180,12 @@ def test_determinism_across_runs(tmp_path):
     export(first, "csv", str(paths[0]))
     export(second, "csv", str(paths[1]))
     assert _strip_wall_ms(paths[0].read_text()) == _strip_wall_ms(paths[1].read_text())
-    # Each cell's tallies depend only on its own seeds, not on the other cells.
+    # A cell's tallies depend on the trial graphs, drawn for the largest m,
+    # not on which other cells are scanned; its mean_nodes does, since a
+    # cell settled by a smaller one costs no search.
     subset = run_sweep(ExperimentConfig(**{**base, "m_values": (9, 5)}))
-    tallies = {r.m: (r.successes, r.unknowns, r.mean_nodes) for r in first.rows}
-    assert [(r.m, (r.successes, r.unknowns, r.mean_nodes)) for r in subset.rows] == [
+    tallies = {r.m: (r.successes, r.unknowns) for r in first.rows}
+    assert [(r.m, (r.successes, r.unknowns)) for r in subset.rows] == [
         (m, tallies[m]) for m in (5, 9)
     ]
 
@@ -240,3 +246,81 @@ def test_budget_trials_excluded_from_p_hat():
         assert row.p_hat == pytest.approx(row.successes / determined)
     else:
         assert math.isnan(row.p_hat)
+
+
+COUPLED_CASES = [
+    dict(problem="embed", n_values=(16,), m_values=(5, 7, 8, 9, 11)),
+    dict(problem="embed", n_values=(12, 20), m_values=(4, 8, 9, 10)),
+    dict(problem="embed", n_values=(24,), m_offsets=(-2, -1, 0, 1), p=0.3),
+    dict(problem="common", n_values=(9,), m_values=(4, 6, 7, 8, 9)),
+    dict(problem="common", n_values=(8, 10), m_values=(2, 5, 6, 7)),
+]
+
+
+def _spy_searches(monkeypatch) -> list:
+    """Record the outcome of every search the sweep runs."""
+    outcomes = []
+    for name in ("embed_exists", "common_exists"):
+        search = getattr(experiments, name)
+
+        def spy(*args, _search=search):
+            outcome = _search(*args)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(experiments, name, spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("case", COUPLED_CASES)
+@pytest.mark.parametrize("seed", [3, 40])
+def test_coupled_sweep_equals_per_cell_searches(case, seed, monkeypatch):
+    config = ExperimentConfig(**{"p": 0.5, "q": 0.5, **case}, trials=12, master_seed=seed)
+    reference = oracles.per_cell_outcomes(config)
+    searched = _spy_searches(monkeypatch)
+    result = run_sweep(config)
+    for row in result.rows:
+        statuses = [out.status for out in reference[(row.n, row.m)]]
+        assert BUDGET_EXCEEDED not in statuses
+        assert (row.successes, row.unknowns) == (statuses.count(FOUND), 0), (row.n, row.m)
+    # the nodes of the searches run, each counted in its own cell's row
+    assert sum(row.mean_nodes * row.trials for row in result.rows) == pytest.approx(
+        sum(out.nodes for out in searched), rel=1e-12)
+    # each trial searches its FOUND cells and then its first refuted one
+    refuting = sum(config.trials - row.successes for row in result.rows
+                   if row.m == config.resolve_m_values(row.n)[-1])
+    assert len(searched) == sum(row.successes for row in result.rows) + refuting
+
+
+@pytest.mark.parametrize("problem, n, sizes, budget", [
+    ("embed", 8, (3, 4, 5, 6, 7, 8), 100),
+    ("common", 7, (3, 4, 5, 6, 7), 40),
+])
+def test_coupled_decisions_agree_with_per_cell_under_a_binding_budget(problem, n, sizes, budget):
+    statuses = {}
+    for seed in range(30):
+        # One trial per sweep, so each row's tallies are that trial's outcome.
+        config = ExperimentConfig(problem, (n,), trials=1, master_seed=seed,
+                                  m_values=sizes, node_budget=budget)
+        reference = oracles.per_cell_outcomes(config)
+        for row in run_sweep(config).rows:
+            coupled = "unknown" if row.unknowns else (FOUND if row.successes else "refuted")
+            alone = reference[(n, row.m)][0].status
+            statuses[coupled, alone] = statuses.get((coupled, alone), 0) + 1
+            if coupled != "unknown" and alone != BUDGET_EXCEEDED:
+                assert (coupled == FOUND) == (alone == FOUND), (seed, row.m)
+    assert statuses.get(("unknown", BUDGET_EXCEEDED))  # the budget binds
+    if problem == PROBLEM_EMBED:
+        # A refutation within budget settles larger cells whose own search is
+        # not.  The common cases here have none: a common search at m + 1
+        # leaves its domain less slack than one at m.
+        assert statuses.get(("refuted", BUDGET_EXCEEDED))
+
+
+def test_pattern_is_drawn_once_for_the_largest_m(monkeypatch):
+    drawn = []
+    sample = experiments.sample_gnp
+    monkeypatch.setattr(experiments, "sample_gnp", lambda law: drawn.append(law) or sample(law))
+    config = ExperimentConfig(PROBLEM_EMBED, (16,), trials=3, master_seed=1, m_values=(4, 9, 6))
+    run_sweep(config)
+    assert [(law.n, law.p) for law in drawn] == [(9, 0.5), (16, 0.5)] * 3

@@ -40,13 +40,13 @@ SWEEPS = {
     "embed": (
         dict(problem="embed", n_values=(16,), p=0.5, q=0.5, m_values=(7, 8, 9, 10, 11),
              trials=10, master_seed=7),
-        [(7, 10, 0, 276.6), (8, 4, 0, 1449.3), (9, 0, 0, 1591.1), (10, 0, 0, 2008.5),
-         (11, 0, 0, 1833.7)],
+        [(7, 10, 0, 298.0), (8, 7, 0, 1159.7), (9, 1, 0, 1210.2), (10, 0, 0, 140.3),
+         (11, 0, 0, 0.0)],
     ),
     "common": (
         dict(problem="common", n_values=(10,), p=0.5, q=0.5, m_values=(5, 6, 7, 8),
              trials=10, master_seed=7),
-        [(5, 10, 0, 6.5), (6, 10, 0, 20.6), (7, 10, 0, 463.5), (8, 0, 0, 2842.1)],
+        [(5, 10, 0, 5.9), (6, 10, 0, 22.1), (7, 9, 0, 1099.1), (8, 2, 0, 2401.8)],
     ),
 }
 

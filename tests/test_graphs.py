@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_gnp_reference
 
 from isophase.errors import InvalidMapError, InvalidSubsetError, SizeError
 from isophase.graphs import (
@@ -48,6 +49,21 @@ def test_sample_deterministic_and_seed_sensitive():
     c = sample_gnp(EdgeLaw(30, 0.37, 123457))
     assert a.adj == b.adj
     assert a.adj != c.adj
+
+
+def test_sample_equals_the_stream_loop():
+    # Edge cases of the integer threshold: the smallest subnormal, one ulp
+    # from each end, and draws that land on it; seeds outside 0..2^64 - 1.
+    ps = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 2.0**-1022, 0.5, 0.37, 1.0 / 3.0, 0.99)
+    seeds = (0, 1, -1, -(2**70), 2**64, 2**64 + 5, 2**100 + 3, 123456789)
+    for n in (*range(0, 12), 31, 64):
+        for p in ps:
+            for seed in seeds:
+                law = EdgeLaw(n, p, seed)
+                assert sample_gnp(law).adj == sample_gnp_reference(law).adj, (n, p, seed)
+    for seed in range(4):
+        law = EdgeLaw(128, 0.5, seed)
+        assert sample_gnp(law).adj == sample_gnp_reference(law).adj
 
 
 def test_symmetry_and_no_loops_after_sampling():

@@ -283,3 +283,34 @@ def test_embed_exists_agrees_with_networkx():
         assert (out.status == FOUND) == GraphMatcher(to_nx(y), to_nx(x)).subgraph_is_isomorphic()
         if out.status == FOUND:
             assert verify_embedding(x, y, out.witness)
+
+
+def test_full_size_queries_agree_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    # C6 and two triangles share a degree sequence, so the search decides them.
+    pairs = [(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+              Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))]
+    for seed in range(40):
+        n = 4 + seed % 7
+        x = sample_gnp(EdgeLaw(n, 0.5, fold_seed(seed, 30)))
+        perm = sorted(range(n), key=lambda v: fold_seed(seed, 31, v))
+        relabeled = Graph.from_edges(n, [(perm[i], perm[j]) for i, j in x.edges()])
+        pairs += [(x, relabeled), (x, sample_gnp(EdgeLaw(n, 0.5, fold_seed(seed, 32))))]
+    for x, y in pairs:
+        iso = nx.is_isomorphic(to_nx(x), to_nx(y))
+        degrees_differ = sorted(map(x.degree, range(x.n))) != sorted(map(y.degree, range(y.n)))
+        for out in (embed_exists(x, y), common_exists(x, y, x.n)):
+            assert (out.status == FOUND) == iso
+            assert out.status in (FOUND, EXHAUSTED)
+            if degrees_differ:
+                assert out.nodes == 0
+        assert (embed_count(x, y).value > 0) == iso
+        assert (common_count(x, y, x.n).value > 0) == iso
+    assert sum(nx.is_isomorphic(to_nx(x), to_nx(y)) for x, y in pairs) >= 40

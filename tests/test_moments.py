@@ -253,6 +253,14 @@ def test_s_bound_relaxed_value_example():
     assert got.s_total == pytest.approx(7.0 / 3.0, rel=1e-12)
 
 
+def test_s_bound_relaxed_out_of_range_is_a_scale_error():
+    # 2^C(r, 2) |H_r| passes the largest float from r = 45 on.
+    message = r"^the relaxed S of n=100, m=50 = inf leaves the float range$"
+    with pytest.raises(ScaleError, match=message):
+        s_bound(100, 50, 0.5, mode="relaxed")
+    assert s_bound(100, 20, 0.5, mode="relaxed").s_total > 1.0
+
+
 def test_s_bound_split_constant_range():
     with pytest.raises(ParameterError):
         s_bound(4, 2, 0.5, c=0.4)
