@@ -243,7 +243,8 @@ def cmd_experiment(args) -> int:
     for n, crossing in result.empirical_thresholds.items():
         print(f"empirical threshold n={n}: {crossing}")
     if result.invalid:
-        print("sweep flagged invalid: a cell exceeded 5% unknowns", file=sys.stderr)
+        share = f"{experiments.MAX_UNKNOWN_SHARE:.0%}"
+        print(f"sweep flagged invalid: a cell exceeded {share} unknowns", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 

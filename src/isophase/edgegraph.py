@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidMapError, ParameterError, StructuralError
+from .errors import InvalidMapError, ParameterError, ScaleError, StructuralError
 from .isosearch import Injection, PartialInjection
 from .thresholds import ModelParams
 
@@ -31,6 +31,7 @@ EMBEDDING = "embedding"
 COMMON = "common"
 
 Pair = tuple[int, int]
+Sig = tuple[tuple[int, int, int], ...]  # census signature: sorted (j, k, count)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class ComponentProfile:
     n_components: int
     m: int
 
-    def census_signature(self) -> tuple[tuple[int, int, int], ...]:
+    def census_signature(self) -> Sig:
         """Canonical hashable form of c, for caching moment evaluations."""
         return tuple(sorted((j, k, cnt) for (j, k), cnt in self.c.items()))
 
@@ -180,20 +181,34 @@ def classify_components(t: EdgeGraph) -> ComponentProfile:
     return ComponentProfile(c, c_cycles, c_paths_jj, t.d, t.r, t.ell, t.zcal, len(members), t.m)
 
 
-def pair_moment(profile: ComponentProfile, params: ModelParams, variant: str = COMMON) -> float:
-    """Probability that both generating maps match the two random graphs.
-
-    Product over the census of tau_{j,k}^count, evaluated in the log domain.
-    The embedding variant requires q = 1/2 (the host graph's law).
-    """
+def check_variant(variant: str, q: float = 0.5) -> None:
+    """Reject an unknown variant, and a host law other than q = 1/2 for the
+    embedding variant, whose host graph is G(n, 1/2); without q, only the
+    variant's name is checked."""
     if variant not in (EMBEDDING, COMMON):
         raise ParameterError(f"unknown variant {variant!r}")
-    if variant == EMBEDDING and params.q != 0.5:
+    if variant == EMBEDDING and q != 0.5:
         raise ParameterError("embedding moments are defined for q = 1/2")
-    log_total = 0.0
-    for (j, k), cnt in profile.c.items():
-        log_total += cnt * math.log(params.tau_jk(j, k))
-    return math.exp(log_total)
+
+
+def _log_tau(params: ModelParams, j: int, k: int) -> float:
+    tau = params.tau_jk(j, k)
+    if tau == 0.0:
+        raise ScaleError(f"tau_{{{j},{k}}} underflows to 0 at p={params.p!r}, q={params.q!r}")
+    return math.log(tau)
+
+
+def log_pair_moment(sig: Sig, params: ModelParams) -> float:
+    """log of the product over a census signature (j, k, count) of
+    tau_{j,k}^count; a ScaleError when a tau_{j,k} underflows to 0."""
+    return math.fsum(cnt * _log_tau(params, j, k) for j, k, cnt in sig)
+
+
+def pair_moment(profile: ComponentProfile, params: ModelParams, variant: str = COMMON) -> float:
+    """Probability that both generating maps match the two random graphs:
+    the product over the census of tau_{j,k}^count."""
+    check_variant(variant, params.q)
+    return math.exp(log_pair_moment(profile.census_signature(), params))
 
 
 def pair_moment_exact(profile: ComponentProfile, p, q):

@@ -65,12 +65,7 @@ def falling_factorial(n: int, m: int) -> int:
         raise ParameterError("falling factorial needs m >= 0")
     if m == 0:
         return 1
-    if n < m:
-        return 0
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
+    return math.perm(n, m) if n >= m else 0
 
 
 def binom(n: int, k: int) -> int:
@@ -132,9 +127,15 @@ def _log_falling(n: int, m: int) -> float:
     return math.fsum(math.log(n - i) for i in range(m))
 
 
+def _check_sizes(n: int, m: int) -> None:
+    """The size rule of every moment: maps of size m into n points are
+    counted only for 0 <= m <= n."""
+    if not 0 <= m <= n:
+        raise ParameterError(f"a moment needs 0 <= m <= n, got n={n}, m={m}")
+
+
 def expected_embeddings_log(n: int, m: int) -> float:
-    if m > n:
-        raise ParameterError("pattern size must not exceed host size")
+    _check_sizes(n, m)
     return _log_falling(n, m) - binom(m, 2) * math.log(2.0)
 
 
@@ -148,13 +149,8 @@ def expected_embeddings(n: int, m: int) -> float:
 
 
 def expected_common_log(n: int, m: int, params: ModelParams) -> float:
-    if m > n:
-        raise ParameterError("subgraph size must not exceed n")
-    return (
-        math.log(binom(n, m)) + _log_falling(n, m) + binom(m, 2) * math.log(params.tau)
-        if m > 0
-        else 0.0
-    )
+    _check_sizes(n, m)
+    return math.log(binom(n, m)) + _log_falling(n, m) + binom(m, 2) * math.log(params.tau)
 
 
 def expected_common(n: int, m: int, params: ModelParams) -> float:
@@ -213,8 +209,6 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 
 # ---------------------------------------------------------------------------
 # census of pair graphs over all ordered map pairs (shared, (p,q)-independent)
-
-Sig = tuple[tuple[int, int, int], ...]
 
 # A census builds one pair graph per orbit class, at about 5 us per domain
 # pair on a 2-core x86-64 host, so it admits at most
@@ -309,7 +303,9 @@ def _representative(m: int, cls: tuple) -> PartialInjection:
 
 
 @lru_cache(maxsize=32)
-def _census(n: int, m: int, variant: str) -> dict[tuple[int, int], dict[tuple[Sig, int], int]]:
+def _census(
+    n: int, m: int, variant: str
+) -> dict[tuple[int, int], dict[tuple[edgegraph.Sig, int], int]]:
     """Census of all ordered pairs of maps of `variant`: bucket by (r, ell)
     for embedding, (d, r) for common -> {(signature, components): count}.
 
@@ -320,8 +316,7 @@ def _census(n: int, m: int, variant: str) -> dict[tuple[int, int], dict[tuple[Si
     times |maps|.
     """
     _, count_maps, _ = _variant(variant)
-    if not 0 <= m <= n:
-        raise ParameterError(f"the pair census needs 0 <= m <= n, got n={n}, m={m}")
+    _check_sizes(n, m)
     most = CLASS_BOUND // max(1, binom(m, 2))
     classes = list(islice(_classes(n, m, variant), most + 1))
     if len(classes) > most:
@@ -344,13 +339,12 @@ def _census(n: int, m: int, variant: str) -> dict[tuple[int, int], dict[tuple[Si
 
 def _variant(variant: str) -> tuple[Callable, Callable, Callable]:
     """(log E N, number of maps, lgamma form of log |maps|) of `variant`."""
+    edgegraph.check_variant(variant)
     if variant == edgegraph.EMBEDDING:
         return (lambda n, m, _params: expected_embeddings_log(n, m), falling_factorial,
                 _lgamma_falling)
-    if variant == edgegraph.COMMON:
-        return (expected_common_log, partial_space,
-                lambda n, m: _lgamma_falling(n, m) + _lgamma_binom(n, m))
-    raise ParameterError(f"unknown variant {variant!r}")
+    return (expected_common_log, partial_space,
+            lambda n, m: _lgamma_falling(n, m) + _lgamma_binom(n, m))
 
 
 def _lgamma_falling(n: int, m: int) -> float:
@@ -368,35 +362,25 @@ def expected_log(n: int, m: int, params: ModelParams, variant: str) -> float:
 
 def pair_space(n: int, m: int, variant: str) -> int:
     """Number of ordered map pairs that the census of `variant` sums over."""
-    return _variant(variant)[1](n, m) ** 2
+    count_maps = _variant(variant)[1]
+    _check_sizes(n, m)
+    return count_maps(n, m) ** 2
 
 
 def pair_space_log10(n: int, m: int, variant: str) -> float:
     """A lower bound on log10 of the pair space, so that a huge instance is
-    rejected before anything computes it exactly; -inf unless 0 <= m <= n.
+    rejected before anything computes it exactly.
 
     Below 2^53 it comes from lgamma, less a slack far above lgamma's rounding
     error.  Above, lgamma's arguments would round, and with k = min(m, 2^52)
     the bound (n)_m >= (n)_k >= (n/2)^k serves instead.
     """
     log_maps = _variant(variant)[2]
-    if not 0 <= m <= n:
-        return -math.inf
+    _check_sizes(n, m)
     if n >= 2**53:
         return 2.0 * min(m, 2**52) * (math.log10(n) - math.log10(2)) * (1.0 - 1e-12)
     slack = 1.0 + 1e-12 * n * math.log(n + 2)
     return (2.0 * log_maps(n, m) - slack) / math.log(10)
-
-
-def _log_tau(params: ModelParams, j: int, k: int) -> float:
-    tau = params.tau_jk(j, k)
-    if tau == 0.0:
-        raise ScaleError(f"tau_{{{j},{k}}} underflows to 0 at p={params.p!r}, q={params.q!r}")
-    return math.log(tau)
-
-
-def _sig_log_moment(sig: Sig, params: ModelParams) -> float:
-    return math.fsum(cnt * _log_tau(params, j, k) for j, k, cnt in sig)
 
 
 def second_moment_exact(
@@ -410,11 +394,10 @@ def second_moment_exact(
     variant 'embedding' sums over pairs of total injections (requires
     q = 1/2); 'common' sums over pairs of partial injections.
     """
-    if variant == edgegraph.EMBEDDING and params.q != 0.5:
-        raise ParameterError("embedding moments are defined for q = 1/2")
+    edgegraph.check_variant(variant, params.q)
     buckets = _census(n, m, variant)
     en2 = math.fsum(
-        cnt * math.exp(_sig_log_moment(sig, params))
+        cnt * math.exp(edgegraph.log_pair_moment(sig, params))
         for key in sorted(buckets)
         for (sig, _), cnt in sorted(buckets[key].items())
     )
@@ -472,6 +455,7 @@ def s_bound(
     """
     if not 0.5 < c < 1.0:
         raise ParameterError("the embedding split needs c in (1/2, 1)")
+    _check_sizes(n, m)
     params = derive_params(p, 0.5)
     phat = params.phat
     pairs_m2 = binom(m, 2)
@@ -557,7 +541,8 @@ def t_dr(
             return 0.0
         log_norm = 2.0 * binom(m, 2) * math.log(params.tau)
         total = math.fsum(
-            cnt * float_exp(_sig_log_moment(sig, params) - log_norm, "E J_f J_g / (E J)^2")
+            cnt * float_exp(edgegraph.log_pair_moment(sig, params) - log_norm,
+                            "E J_f J_g / (E J)^2")
             for (sig, _), cnt in sorted(inner.items())
         )
         return total / space**2
@@ -610,14 +595,12 @@ def ratio_decomposition(
     """Exact t_dr for every overlap class plus the grouped five-term split."""
     if not 0.0 < c < 1.0:
         raise ParameterError("split constant c must lie in (0, 1)")
-    _census(n, m, edgegraph.COMMON)  # the size rules, once; t_dr reads the cache
-    space = partial_space(n, m)
     by_dr: dict[tuple[int, int], float] = {}
-    for d in range(m + 1):
-        for r in range(m + 1):
-            val = t_dr(n, m, params, d, r, "exact", c)
-            if val:
-                by_dr[(d, r)] = val
+    for d, r in sorted(_census(n, m, edgegraph.COMMON)):
+        val = t_dr(n, m, params, d, r, "exact", c)
+        if val:
+            by_dr[(d, r)] = val
+    space = partial_space(n, m)
     disjoint = by_dr.get((0, 0), 0.0)
     full = by_dr.get((m, m), 0.0)
     low = math.fsum(

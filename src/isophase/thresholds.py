@@ -158,7 +158,8 @@ class ThresholdConfig:
     """Slack C_n used around the transition points.
 
     Default rule: C_n = log log n for n >= 16, else 1 (the slack only needs
-    to grow, arbitrarily slowly); cn/log n should stay below 1.
+    to grow, arbitrarily slowly); cn/log n should stay below 1.  Every
+    threshold needs n >= 2, so that log n > 0.
     """
 
     n: int
@@ -167,11 +168,11 @@ class ThresholdConfig:
     def __post_init__(self):
         if not 0 < self.cn < math.inf:
             raise ParameterError(f"cn must be positive and finite, got {self.cn}")
+        if self.n < 2:
+            raise NTooSmallError("thresholds need n >= 2")
 
     @classmethod
     def default(cls, n: int) -> "ThresholdConfig":
-        if n < 2:
-            raise NTooSmallError("thresholds need n >= 2")
         cn = math.log(math.log(n)) if n >= 16 else 1.0
         return cls(n, cn)
 
@@ -201,17 +202,20 @@ class ThresholdReport:
     in_region: bool
 
 
-def m_star(n: float, params: ModelParams) -> tuple[float, float, float]:
-    """Root m_* of W(x) = R(n), by bisection; returns (m_star, r_n, residual).
-
-    W(x) > x for x >= 1 puts the root below R(n), and W increases strictly,
-    so [1, R(n)] brackets it whenever R(n) >= W(1).
-    """
-    lam = params.lam
+def _bracketed_r(n: float, lam: float) -> float:
+    """R(n), once R(n) >= W(1): W(x) > x for x >= 1 puts the root of
+    W(x) = R(n) below R(n), and W increases strictly, so [1, R(n)] brackets it."""
     rn = r_of_n(n, lam)
     w1 = w_eval(1.0, lam, 0)
     if rn < w1:
         raise NTooSmallError(f"n={n} too small: R(n)={rn} below W(1)={w1}")
+    return rn
+
+
+def m_star(n: float, params: ModelParams) -> tuple[float, float, float]:
+    """Root m_* of W(x) = R(n), by bisection; returns (m_star, r_n, residual)."""
+    lam = params.lam
+    rn = _bracketed_r(n, lam)
     root = _bisect(lambda x: w_eval(x, lam, 0) < rn, 1.0, rn, 1e-14)
     residual = abs(w_eval(root, lam, 0) - rn)
     if residual > _ROOT_TOL:
@@ -222,18 +226,14 @@ def m_star(n: float, params: ModelParams) -> tuple[float, float, float]:
 def m_star_approx(n: float, params: ModelParams) -> float:
     """Explicit approximation m~ = R(n) - 2*lam*log(R(n)) of the root."""
     lam = params.lam
-    rn = r_of_n(n, lam)
-    if rn < w_eval(1.0, lam, 0):
-        raise NTooSmallError(f"n={n} too small for the root equation")
+    rn = _bracketed_r(n, lam)
     return rn - 2.0 * lam * math.log(rn)
 
 
 def embed_thresholds(n: int, cn: Optional[float] = None) -> tuple[int, int]:
     """Embedding transition pair (m_minus, m_plus) around 2*log2(n) + 1."""
-    if n < 2:
-        raise NTooSmallError("embedding thresholds need n >= 2")
-    center = embed_center(n)
     slack = ThresholdConfig.of(n, cn).slack
+    center = embed_center(n)
     return math.floor(center - slack), math.ceil(center + slack)
 
 
@@ -247,8 +247,6 @@ def common_thresholds(
     tells the caller whether the sharp-transition hypothesis holds.
     """
     config = ThresholdConfig.of(n, cn)
-    if n < 2:
-        raise NTooSmallError("common-subgraph thresholds need n >= 2")
     root, _, _ = m_star(n, params)
     inside = in_admissible_region(params.p, params.q)
     return math.floor(root - config.slack), math.ceil(root + config.slack), inside

@@ -25,6 +25,7 @@ from isophase.moments import (
     expected_embeddings,
     falling_factorial,
     multinomial,
+    pair_space,
     partial_space,
     ratio_decomposition,
     s_bound,
@@ -43,6 +44,9 @@ def test_falling_factorial_basics():
     assert falling_factorial(7, 0) == 1
     assert falling_factorial(2, 5) == 0
     assert falling_factorial(1, 2) == 0
+    assert falling_factorial(-3, 0) == 1
+    assert falling_factorial(-3, 2) == 0
+    assert falling_factorial(10**6, 3) == 10**6 * (10**6 - 1) * (10**6 - 2)
     with pytest.raises(ParameterError):
         falling_factorial(3, -1)
 
@@ -222,17 +226,42 @@ HALF = derive_params(0.5, 0.5)
         lambda: second_moment_ratio(3, 5, HALF, "embedding"),
         lambda: second_moment_ratio(3, 5, HALF, "common"),
         lambda: s_bound(3, 5, 0.5),
+        lambda: s_bound(3, 5, 0.5, mode="relaxed"),
         lambda: t_dr(3, 5, HALF, 0, 0, "exact"),
         lambda: ratio_decomposition(3, 5, HALF),
+        lambda: pair_space(3, 5, "embedding"),
+        lambda: pair_space(3, 5, "common"),
+        lambda: expected_embeddings(3, 5),
+        lambda: expected_common(3, 5, HALF),
     ],
     ids=["exact-embedding", "exact-common", "ratio-embedding", "ratio-common", "s_bound",
-         "t_dr", "ratio_decomposition"],
+         "s_bound-relaxed", "t_dr", "ratio_decomposition", "pair_space-embedding",
+         "pair_space-common", "expected-embedding", "expected-common"],
 )
 def test_census_consumers_reject_m_above_n(consumer):
-    # One size rule for E N^2: m > n is a ParameterError from the census for
-    # both variants, not E N^2 = 0 for one and an invalid map for the other.
+    # One size rule for E N, the pair space and E N^2: m > n is a
+    # ParameterError with one message in every variant and mode, not
+    # E N^2 = 0 for one variant, a pair space of 0 or another message.
     with pytest.raises(ParameterError, match=r"needs 0 <= m <= n, got n=3, m=5"):
         consumer()
+
+
+@pytest.mark.parametrize("n, m", [(3, -1), (-3, -5)])
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        expected_embeddings,
+        lambda n, m: expected_common(n, m, HALF),
+        lambda n, m: pair_space(n, m, "embedding"),
+        lambda n, m: pair_space(n, m, "common"),
+    ],
+    ids=["expected-embedding", "expected-common", "pair_space-embedding", "pair_space-common"],
+)
+def test_moments_reject_negative_sizes(consumer, n, m):
+    # Below 0 the same rule holds: E N is not an empty product of 1, and the
+    # message is not that of a binomial or falling factorial inside it.
+    with pytest.raises(ParameterError, match=rf"needs 0 <= m <= n, got n={n}, m={m}$"):
+        consumer(n, m)
 
 
 def test_s_bound_dominates_ratio_and_relaxed_dominates_exact():
@@ -481,14 +510,23 @@ def test_census_class_bound_stops_before_building(monkeypatch):
         lambda: ratio_decomposition(12, 12, derive_params(1e-300, 0.9999999999999999)),
         lambda: second_moment_ratio(12, 12, derive_params(0.001, 0.999)),
         lambda: s_bound(10**16, 10, 0.5),
+        lambda: pair_moment(
+            classify_components(build_common_edge_graph(
+                PartialInjection(tuple(range(10)), tuple(range(10))),
+                PartialInjection(tuple(range(10)), (1, 2, 0, 4, 5, 6, 7, 8, 9, 3)),
+            )),
+            derive_params(1e-170, 0.9999999999999999),
+        ),
     ],
     ids=["tau-underflow-exact", "tau-underflow-ratio", "tau-underflow-decomposition",
-         "ratio-overflow", "pair-space-overflow"],
+         "ratio-overflow", "pair-space-overflow", "tau-underflow-pair-moment"],
 )
 def test_float_range_is_a_scale_error(consumer):
     # tau_{j,k} = 0 in floats at p = 1e-300, q = 1 - 2^-53; at p = 0.001,
     # q = 0.999, log E N is about -390, so (E N)^-2 overflows; (10^16)_10
-    # squared, about 10^320, would overflow each census term.
+    # squared, about 10^320, would overflow each census term.  A 3-cycle and
+    # a 7-cycle against the identity on 10 points give a (21, 21) component,
+    # whose tau is 0 in floats at p = 1e-170.
     with pytest.raises(ScaleError):
         consumer()
 

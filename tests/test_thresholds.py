@@ -65,6 +65,22 @@ def test_thresholds_reject_n_below_two(cn):
         common_thresholds(1, HALF, cn)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda cn: embed_thresholds(1, cn), lambda cn: common_thresholds(1, HALF, cn),
+     lambda cn: threshold_report(1, HALF, cn), lambda cn: ThresholdConfig.of(1, cn)],
+    ids=["embed", "common", "report", "config"],
+)
+def test_threshold_domain_has_one_message(call):
+    # n >= 2 is one rule with one message, checked after cn, so that an
+    # invalid cn is reported first whichever threshold is asked for.
+    for cn in (None, 1.0):
+        with pytest.raises(NTooSmallError, match=r"^thresholds need n >= 2$"):
+            call(cn)
+    with pytest.raises(ParameterError, match="cn must be positive and finite"):
+        call(0.0)
+
+
 def test_region_membership_examples():
     assert in_admissible_region(0.5, 0.5)
     assert derive_params(0.5, 0.5).tau_jk(1, 2) == pytest.approx(0.25)
