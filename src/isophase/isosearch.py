@@ -1,14 +1,13 @@
 """Exact solvers for induced embedding and common induced subgraphs.
 
-One depth-first backtracking core answers every query.  It searches partial
-injections from x into y whose domain is a sorted m-subset of x, branching
-on which vertex of x joins the domain next and on its image, with candidate
-images kept as host bitmasks.  Matching is induced: a candidate must be
-adjacent to the images of the domain vertex's neighbours and non-adjacent to
-the images of its non-neighbours.  Embedding x into y is the full-domain
-case m = x.n, run on x relabeled into a most-constrained-first order; the
-common-subgraph existence, count and maximum-size queries run the core on
-x and y as given.
+One depth-first search core answers every query.  It builds partial
+injections from x into y with the undecided vertices kept in label classes,
+as in McSplit (McCreesh, Prosser & Trimble, IJCAI 2017): the vertices of a
+class, pattern and host alike, have the same adjacency to every matched
+pair, so a pattern vertex takes an image only from its own class and every
+match is induced by construction.  Embedding x into y is the full-domain
+case m = x.n; the common-subgraph existence, count and maximum-size queries
+run the core on the size m they are given.
 
 Search effort is metered in expanded nodes (assignments tried), and a query
 whose count of nodes passes its budget stops there.  Existence queries
@@ -109,137 +108,136 @@ def is_partial_isomorphism(x: Graph, y: Graph, f: PartialInjection) -> bool:
     return True
 
 
-def _pattern_order(x: Graph) -> list[int]:
-    # Static most-constrained-first order: descending degree, index tiebreak.
-    return sorted(range(x.n), key=lambda v: (-x.adj[v].bit_count(), v))
-
-
 def _search(xrows, yrows, m: int, budget: int, count_all: bool):
-    """DFS over size-m partial injections from x into y with sorted domains.
+    """DFS over size-m partial injections from x into y, in label classes.
 
-    Level k assigns the k-th domain vertex cu[k] an image.  cu[k] scans
-    upward from cu[k-1] + 1 while enough vertices remain for the levels
-    below it, and for each cu[k] the images are taken lowest first from a
-    bitmask of host vertices consistent with every assigned level.  The rows
-    (non-adjacency, adjacency) of each assigned image are cached per level,
-    and pre[k] holds the consistency mask of the domain vertex cu[k] + 1
-    against levels 0..k-1.  It gives a node its child's candidates with one
-    AND, and it is level k's candidate set once cu[k] moves up.  Both rows
-    of an image exclude the image itself, so no used-vertex mask is needed.
-    The last level is settled in one step: its candidates are the witnesses,
-    or are counted all at once.  When m equals both vertex counts, graphs
-    whose sorted degree sequences differ are refuted before any node.
+    A state is a list of classes (P, H), bitmasks of undecided pattern
+    vertices and unused host vertices.  It branches on the first class with
+    the fewest host vertices and on that class's lowest pattern vertex v:
+    v -> w for each w of the class, lowest first, then one uncounted branch
+    that leaves v out.  Assigning v -> w removes v and w and splits every
+    class into the vertices adjacent to both and those adjacent to neither;
+    a part with no host vertices leaves its pattern vertices out.  A state
+    of size s is pruned unless s + sum(min(|P|, |H|)) >= m: the split adds
+    up the class deficits max(0, |P| - |H|) and the vertices it leaves out,
+    and stops once they pass slack, the undecided pattern vertices that may
+    still go unmatched.  Embedding is m = x.n, where slack is 0: the bound
+    is Hall's condition per class and no vertex is left out.  The last level
+    is settled in one step: its first assignment is the witness, or its
+    sum(|P| * |H|) assignments are counted at once.  When m equals both
+    vertex counts, graphs whose sorted degree sequences differ are refuted
+    before any node.
 
     Nodes count assignments tried, and every counted node is checked against
     the budget.  Returns (count, (domain, image) or None, nodes, exceeded).
     """
-    n, ny = len(xrows), len(yrows)
+    nx, ny = len(xrows), len(yrows)
     if m < 0:
         raise SizeError("subgraph size must be nonnegative")
-    if m > n or m > ny:
+    if m > nx or m > ny:
         raise SizeError(f"subgraph size {m} exceeds a graph's vertex count")
     if m == 0:
         return 1, ((), ()), 0, False
-    if m == ny == n and sorted(map(int.bit_count, xrows)) != sorted(map(int.bit_count, yrows)):
+    if m == ny == nx and sorted(map(int.bit_count, xrows)) != sorted(map(int.bit_count, yrows)):
         return 0, None, 0, False  # an isomorphism keeps the degree sequence
-    fully = (1 << ny) - 1
-    rows = [(~row & fully & ~(1 << w), row) for w, row in enumerate(yrows)]
-    last = m - 1
-    slack = n - m      # level k's domain vertex ranges over k..k + slack
-    cu = [0] * m       # domain vertex at each level
-    cand = [0] * m     # images still to try for cu[level]
-    img = [0] * m
-    yr = [None] * m    # rows of img[level], indexed by x-adjacency
-    pre = [0] * m
-    nodes = 0
-    count = 0
-    cand[0] = pre[0] = fully
-    depth = 0
-    while depth >= 0:
-        c = cand[depth]
-        if c:
-            if depth == last:
-                if not count_all:
-                    nodes += 1
-                    if nodes > budget:
-                        return count, None, nodes, True
-                    img[last] = (c & -c).bit_length() - 1
-                    return count, (tuple(cu), tuple(img)), nodes, False
-                cand[last] = 0
-                k = c.bit_count()
-                nodes += k
-                count += k
-                if nodes > budget:
-                    return count, None, nodes, True
-                continue
-            yv = (c & -c).bit_length() - 1
-            cand[depth] = c & (c - 1)
-            nodes += 1
+    xfull, yfull = (1 << nx) - 1, (1 << ny) - 1
+    xnon = [xfull & ~row & ~(1 << v) for v, row in enumerate(xrows)]
+    ynon = [yfull & ~row & ~(1 << w) for w, row in enumerate(yrows)]
+    nodes = count = 0
+    # A frame is [classes, slack, deficit, branch class, v, images left, w].
+    stack = []
+    classes, slack, deficit, best = [(xfull, yfull)], nx - m, max(0, nx - ny), 0
+    while True:
+        if count_all and len(stack) == m - 1:
+            k = sum(P.bit_count() * H.bit_count() for P, H in classes)
+            nodes += k
+            count += k
             if nodes > budget:
                 return count, None, nodes, True
-            r = rows[yv]
-            u = cu[depth] + 1
-            nc = pre[depth] & r[(xrows[u] >> cu[depth]) & 1]
-            nxt = depth + 1
-            if nc == 0 and u == nxt + slack:
-                continue  # the next level has nothing to try
-            img[depth] = yv
-            yr[depth] = r
-            depth = nxt
         else:
-            # Move this level's domain vertex up to the one pre[] was
-            # computed for, or backtrack.
-            u = cu[depth] + 1
-            if u > depth + slack:
-                depth -= 1
-                continue
-            nc = pre[depth]
-        cu[depth] = u
-        cand[depth] = nc
-        if u < depth + slack or (nc and depth < last):
-            xu = xrows[u + 1]
-            nc = fully
-            i = 0
-            while nc and i < depth:
-                nc &= yr[i][(xu >> cu[i]) & 1]
-                i += 1
-            pre[depth] = nc
-    return count, None, nodes, False
-
-
-def _embed(x: Graph, y: Graph, budget: int, count_all: bool):
-    """Embedding is the common subgraph of size x.n, whose domain is all of x.
-
-    The pattern is relabeled so that its vertex k is order[k]; with m = x.n
-    the domain cannot advance, so level k always holds pattern vertex
-    order[k].  Returns (count, image_or_None, nodes, exceeded).
-    """
-    order = _pattern_order(x)
-    xrows = [
-        sum(1 << i for i, w in enumerate(order) if (x.adj[v] >> w) & 1) for v in order
-    ]
-    count, pair, nodes, exceeded = _search(xrows, y.adj, x.n, budget, count_all)
-    if pair is None:
-        return count, None, nodes, exceeded
-    image = [0] * x.n
-    for k, v in enumerate(order):
-        image[v] = pair[1][k]
-    return count, tuple(image), nodes, exceeded
+            P, H = classes[best]
+            stack.append([classes, slack, deficit, best, (P & -P).bit_length() - 1, H, 0])
+        while stack:
+            f = stack[-1]
+            classes, slack, deficit, best, v, cand, _ = f
+            if cand:
+                w = (cand & -cand).bit_length() - 1
+                f[5] = cand & (cand - 1)
+                f[6] = w
+                nodes += 1
+                if nodes > budget:
+                    return count, None, nodes, True
+                if len(stack) == m:
+                    domain, image = zip(*sorted((g[4], g[6]) for g in stack))
+                    return count, (domain, image), nodes, False
+                xa, xb, ya, yb = xrows[v], xnon[v], yrows[w], ynon[w]
+                split = []
+                lost = dropped = 0  # lost: deficits plus vertices left out
+                fewest = ny + 1
+                for P, H in classes:  # both parts written out: a loop costs ~30%
+                    p = P & xa
+                    if p:
+                        h = H & ya
+                        pc = p.bit_count()
+                        if h:
+                            hc = h.bit_count()
+                            if hc < fewest:
+                                fewest, best = hc, len(split)
+                            split.append((p, h))
+                            lost += pc - hc if pc > hc else 0
+                        else:
+                            lost += pc
+                            dropped += pc
+                    p = P & xb
+                    if p:
+                        h = H & yb
+                        pc = p.bit_count()
+                        if h:
+                            hc = h.bit_count()
+                            if hc < fewest:
+                                fewest, best = hc, len(split)
+                            split.append((p, h))
+                            lost += pc - hc if pc > hc else 0
+                        else:
+                            lost += pc
+                            dropped += pc
+                    if lost > slack:
+                        break
+                else:
+                    classes, slack, deficit = split, slack - dropped, lost - dropped
+                    break
+            else:
+                P, H = classes[best]
+                deficit -= P.bit_count() > H.bit_count()
+                slack -= 1
+                if deficit > slack:
+                    stack.pop()
+                    continue
+                P &= P - 1
+                if P:
+                    classes[best] = (P, H)
+                else:
+                    del classes[best]  # deficit <= slack leaves a class
+                    best = min(range(len(classes)), key=lambda i: classes[i][1].bit_count())
+                    P, H = classes[best]
+                f[:6] = classes, slack, deficit, best, (P & -P).bit_length() - 1, H
+        else:
+            return count, None, nodes, False
 
 
 def embed_exists(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Is x isomorphic to an induced subgraph of y?"""
-    _, image, nodes, exceeded = _embed(x, y, budget, count_all=False)
+    _, pair, nodes, exceeded = _search(x.adj, y.adj, x.n, budget, count_all=False)
     if exceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
-    if image is not None:
-        return SearchOutcome(FOUND, Injection(x.n, y.n, image), nodes)
+    if pair is not None:
+        return SearchOutcome(FOUND, Injection(x.n, y.n, pair[1]), nodes)
     return SearchOutcome(EXHAUSTED, None, nodes)
 
 
 def embed_count(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Number of injections mapping x onto an induced subgraph of y."""
-    count, _, nodes, exceeded = _embed(x, y, budget, count_all=True)
+    count, _, nodes, exceeded = _search(x.adj, y.adj, x.n, budget, count_all=True)
     if exceeded:
         raise BudgetExceededError("embedding count hit the node budget", count, nodes)
     return CountResult(count, nodes)

@@ -534,6 +534,7 @@ def t_dr(
         decay factor), valid for r <= d.
     bound2: bound1 times psi(m)/(m)_r, valid for c*m <= r <= d.
     """
+    _check_sizes(n, m)
     space = partial_space(n, m)
     if mode == "exact":
         inner = _census(n, m, edgegraph.COMMON).get((d, r))

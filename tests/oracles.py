@@ -9,13 +9,16 @@ and check only its use of relabeling symmetry: the first sweeps every
 ordered pair, the second pairs the identity with every map.
 The pair-graph references build an EdgeGraph straight from two total
 injections and count zcal pair by pair, without the library's builder.  The
-sampler and sweep references at the end are the plain loops that the
-library's inlined sampler and coupled sweep replace.
+sampler and sweep references are the plain loops that the library's
+inlined sampler and coupled sweep replace, and `search_reference` at the end
+is the static-order search core that the label-class core replaced.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -27,9 +30,19 @@ from isophase.edgegraph import (
     build_common_edge_graph,
     classify_components,
 )
+from isophase.errors import SizeError
 from isophase.experiments import PROBLEM_EMBED
 from isophase.graphs import EdgeLaw, Graph, induced_subgraph
-from isophase.isosearch import PartialInjection, common_exists, embed_exists
+from isophase.isosearch import (
+    BUDGET_EXCEEDED,
+    EXHAUSTED,
+    FOUND,
+    Injection,
+    PartialInjection,
+    SearchOutcome,
+    common_exists,
+    embed_exists,
+)
 from isophase.rng import Xoshiro256StarStar, fold_seed
 
 
@@ -330,11 +343,22 @@ def sample_gnp_reference(law: EdgeLaw) -> Graph:
     return Graph(law.n, rows)
 
 
-def per_cell_outcomes(config) -> dict:
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def per_cell_outcomes(config, reference: bool = False) -> dict:
     """(n, m) -> the SearchOutcome of every trial, each cell searched on its
     own: trial t's graphs are the coupled sweep's (one pattern on n's
     largest m, whose prefixes are the cells' patterns, or two graphs on n
-    vertices), but no cell is settled by another."""
+    vertices), but no cell is settled by another.  With `reference` the
+    searches run on `search_reference`, and as in the sweep, the cells above
+    a trial's first outcome that is not FOUND repeat that outcome unsearched."""
     out: dict = {}
     for n in config.n_values:
         sizes = config.resolve_m_values(n)
@@ -343,10 +367,156 @@ def per_cell_outcomes(config) -> dict:
             x = sample_gnp_reference(EdgeLaw(
                 sizes[-1] if embed else n, config.p, fold_seed(config.master_seed, n, t, 0)))
             y = sample_gnp_reference(EdgeLaw(n, config.q, fold_seed(config.master_seed, n, t, 1)))
+            settled = None
             for m in sizes:
-                if embed:
-                    outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
+                if settled is not None:
+                    outcome = settled
+                elif embed:
+                    pattern = induced_subgraph(x, range(m))
+                    outcome = (reference_outcome(pattern, y, None, config.node_budget) if reference
+                               else embed_exists(pattern, y, config.node_budget))
+                elif reference:
+                    outcome = reference_outcome(x, y, m, config.node_budget)
                 else:
                     outcome = common_exists(x, y, m, config.node_budget)
+                if reference and outcome.status != FOUND:
+                    settled = outcome
                 out.setdefault((n, m), []).append(outcome)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the previous search core (reference for the label-class core)
+
+def _pattern_order(x: Graph) -> list[int]:
+    # Static most-constrained-first order: descending degree, index tiebreak.
+    return sorted(range(x.n), key=lambda v: (-x.adj[v].bit_count(), v))
+
+
+def _reference_core(xrows, yrows, m: int, budget: int, count_all: bool):
+    """The static-order DFS over size-m partial injections with sorted domains.
+
+    Level k assigns the k-th domain vertex cu[k] an image.  cu[k] scans
+    upward from cu[k-1] + 1 while enough vertices remain for the levels
+    below it, and for each cu[k] the images are taken lowest first from a
+    bitmask of host vertices consistent with every assigned level.  The rows
+    (non-adjacency, adjacency) of each assigned image are cached per level,
+    and pre[k] holds the consistency mask of the domain vertex cu[k] + 1
+    against levels 0..k-1.  It gives a node its child's candidates with one
+    AND, and it is level k's candidate set once cu[k] moves up.  Both rows
+    of an image exclude the image itself, so no used-vertex mask is needed.
+    The last level is settled in one step: its candidates are the witnesses,
+    or are counted all at once.  When m equals both vertex counts, graphs
+    whose sorted degree sequences differ are refuted before any node.
+
+    Nodes count assignments tried, and every counted node is checked against
+    the budget.  Returns (count, (domain, image) or None, nodes, exceeded).
+    """
+    n, ny = len(xrows), len(yrows)
+    if m < 0:
+        raise SizeError("subgraph size must be nonnegative")
+    if m > n or m > ny:
+        raise SizeError(f"subgraph size {m} exceeds a graph's vertex count")
+    if m == 0:
+        return 1, ((), ()), 0, False
+    if m == ny == n and sorted(map(int.bit_count, xrows)) != sorted(map(int.bit_count, yrows)):
+        return 0, None, 0, False  # an isomorphism keeps the degree sequence
+    fully = (1 << ny) - 1
+    rows = [(~row & fully & ~(1 << w), row) for w, row in enumerate(yrows)]
+    last = m - 1
+    slack = n - m      # level k's domain vertex ranges over k..k + slack
+    cu = [0] * m       # domain vertex at each level
+    cand = [0] * m     # images still to try for cu[level]
+    img = [0] * m
+    yr = [None] * m    # rows of img[level], indexed by x-adjacency
+    pre = [0] * m
+    nodes = 0
+    count = 0
+    cand[0] = pre[0] = fully
+    depth = 0
+    while depth >= 0:
+        c = cand[depth]
+        if c:
+            if depth == last:
+                if not count_all:
+                    nodes += 1
+                    if nodes > budget:
+                        return count, None, nodes, True
+                    img[last] = (c & -c).bit_length() - 1
+                    return count, (tuple(cu), tuple(img)), nodes, False
+                cand[last] = 0
+                k = c.bit_count()
+                nodes += k
+                count += k
+                if nodes > budget:
+                    return count, None, nodes, True
+                continue
+            yv = (c & -c).bit_length() - 1
+            cand[depth] = c & (c - 1)
+            nodes += 1
+            if nodes > budget:
+                return count, None, nodes, True
+            r = rows[yv]
+            u = cu[depth] + 1
+            nc = pre[depth] & r[(xrows[u] >> cu[depth]) & 1]
+            nxt = depth + 1
+            if nc == 0 and u == nxt + slack:
+                continue  # the next level has nothing to try
+            img[depth] = yv
+            yr[depth] = r
+            depth = nxt
+        else:
+            # Move this level's domain vertex up to the one pre[] was
+            # computed for, or backtrack.
+            u = cu[depth] + 1
+            if u > depth + slack:
+                depth -= 1
+                continue
+            nc = pre[depth]
+        cu[depth] = u
+        cand[depth] = nc
+        if u < depth + slack or (nc and depth < last):
+            xu = xrows[u + 1]
+            nc = fully
+            i = 0
+            while nc and i < depth:
+                nc &= yr[i][(xu >> cu[i]) & 1]
+                i += 1
+            pre[depth] = nc
+    return count, None, nodes, False
+
+
+def search_reference(x, y, m, budget: int, count_all: bool):
+    """The search core that the label-class core of `isosearch` replaced.
+
+    It visits domain vertices in a fixed order and filters candidates one
+    level ahead.  m = None is the embedding query, run on x relabeled into a
+    most-constrained-first order: with m = x.n the domain cannot advance,
+    so level k always holds pattern vertex order[k].  Returns (count,
+    (domain, image) or None, nodes, exceeded), the image in x's own labels.
+    """
+    if m is not None:
+        return _reference_core(x.adj, y.adj, m, budget, count_all)
+    order = _pattern_order(x)
+    xrows = [
+        sum(1 << i for i, w in enumerate(order) if (x.adj[v] >> w) & 1) for v in order
+    ]
+    count, pair, nodes, exceeded = _reference_core(xrows, y.adj, x.n, budget, count_all)
+    if pair is None:
+        return count, None, nodes, exceeded
+    image = [0] * x.n
+    for k, v in enumerate(order):
+        image[v] = pair[1][k]
+    return count, (tuple(range(x.n)), tuple(image)), nodes, exceeded
+
+
+def reference_outcome(x, y, m, budget: int) -> SearchOutcome:
+    """`search_reference`'s answer to embed_exists (m = None) or to
+    common_exists, as the library reports it."""
+    _, pair, nodes, exceeded = search_reference(x, y, m, budget, False)
+    if exceeded:
+        return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
+    if pair is None:
+        return SearchOutcome(EXHAUSTED, None, nodes)
+    witness = Injection(x.n, y.n, pair[1]) if m is None else PartialInjection(*pair)
+    return SearchOutcome(FOUND, witness, nodes)

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from isophase.errors import BudgetExceededError, InvalidMapError, SizeError
+from isophase.experiments import ExperimentConfig
 from isophase.graphs import EdgeLaw, Graph, induced_subgraph, sample_gnp
 from isophase.isosearch import (
     BUDGET_EXCEEDED,
@@ -314,3 +315,56 @@ def test_full_size_queries_agree_with_networkx_isomorphism():
         assert (embed_count(x, y).value > 0) == iso
         assert (common_count(x, y, x.n).value > 0) == iso
     assert sum(nx.is_isomorphic(to_nx(x), to_nx(y)) for x, y in pairs) >= 40
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 30])
+def test_search_core_equals_the_reference_core(budget):
+    # Sizes 0..10 of common subgraphs and embeddings, x.n != y.n both ways.
+    for seed in range(48):
+        nx = 2 + seed % 11
+        ny = max(1, nx + (0, 2, -1, 4)[seed % 4])
+        x = sample_gnp(EdgeLaw(nx, (0.3, 0.5, 0.7)[seed % 3], fold_seed(seed, 40)))
+        y = sample_gnp(EdgeLaw(ny, 0.5, fold_seed(seed, 41)))
+        queries = [(m, common_exists(x, y, m, budget)) for m in range(min(nx, ny, 10) + 1)]
+        if nx <= ny:
+            queries.append((None, embed_exists(x, y, budget)))
+        for m, got in queries:
+            want = oracles.reference_outcome(x, y, m, budget)
+            if BUDGET_EXCEEDED not in (got.status, want.status):
+                assert got.status == want.status, (seed, m)
+            assert (got.nodes <= budget) == (got.status != BUDGET_EXCEEDED)
+            if got.status == FOUND:
+                w = got.witness
+                if m is None:  # an embedding's witness is total on x
+                    w = PartialInjection(tuple(range(nx)), w.image)
+                assert is_partial_isomorphism(x, y, w)
+        if budget == DEFAULT_BUDGET:
+            assert BUDGET_EXCEEDED not in [got.status for _, got in queries]
+            if max(nx, ny) <= 8:
+                for m in range(min(nx, ny) + 1):
+                    assert common_count(x, y, m).value == oracles.search_reference(
+                        x, y, m, budget, True)[0]
+                if nx <= ny:
+                    assert embed_count(x, y).value == oracles.search_reference(
+                        x, y, None, budget, True)[0]
+
+
+@pytest.mark.parametrize("name", ["embed-refute", "common-window"])
+@pytest.mark.parametrize("master_seed", [1000, 2000])
+def test_benchmark_sweeps_decide_as_the_reference_core(name, master_seed):
+    config = ExperimentConfig(master_seed=master_seed,
+                              **oracles.perfbench_workloads().SWEEPS[name])
+    got = oracles.per_cell_outcomes(config)
+    want = oracles.per_cell_outcomes(config, reference=True)
+    assert {cell: [out.status for out in outs] for cell, outs in got.items()} == {
+        cell: [out.status for out in outs] for cell, outs in want.items()}
+
+
+def test_deep_searches_need_no_recursion():
+    # The core keeps its own stack: 2000 levels, far past the recursion limit.
+    out = embed_exists(Graph(2000), Graph(2001))
+    assert out.status == FOUND and out.nodes == 2000
+    assert out.witness.image == tuple(range(2000))
+    with pytest.raises(BudgetExceededError) as err:
+        common_count(Graph(2000), Graph(2001), 2000, budget=2500)
+    assert err.value.partial_count > 0  # it counted leaves at depth 2000

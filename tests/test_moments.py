@@ -228,6 +228,8 @@ HALF = derive_params(0.5, 0.5)
         lambda: s_bound(3, 5, 0.5),
         lambda: s_bound(3, 5, 0.5, mode="relaxed"),
         lambda: t_dr(3, 5, HALF, 0, 0, "exact"),
+        lambda: t_dr(3, 5, HALF, 0, 0, "bound1"),
+        lambda: t_dr(3, 5, HALF, 0, 0, "bound2"),
         lambda: ratio_decomposition(3, 5, HALF),
         lambda: pair_space(3, 5, "embedding"),
         lambda: pair_space(3, 5, "common"),
@@ -235,7 +237,8 @@ HALF = derive_params(0.5, 0.5)
         lambda: expected_common(3, 5, HALF),
     ],
     ids=["exact-embedding", "exact-common", "ratio-embedding", "ratio-common", "s_bound",
-         "s_bound-relaxed", "t_dr", "ratio_decomposition", "pair_space-embedding",
+         "s_bound-relaxed", "t_dr", "t_dr-bound1", "t_dr-bound2", "ratio_decomposition",
+         "pair_space-embedding",
          "pair_space-common", "expected-embedding", "expected-common"],
 )
 def test_census_consumers_reject_m_above_n(consumer):
@@ -254,8 +257,12 @@ def test_census_consumers_reject_m_above_n(consumer):
         lambda n, m: expected_common(n, m, HALF),
         lambda n, m: pair_space(n, m, "embedding"),
         lambda n, m: pair_space(n, m, "common"),
+        lambda n, m: t_dr(n, m, HALF, 0, 0, "exact"),
+        lambda n, m: t_dr(n, m, HALF, 0, 0, "bound1"),
+        lambda n, m: t_dr(n, m, HALF, 0, 0, "bound2"),
     ],
-    ids=["expected-embedding", "expected-common", "pair_space-embedding", "pair_space-common"],
+    ids=["expected-embedding", "expected-common", "pair_space-embedding", "pair_space-common",
+         "t_dr", "t_dr-bound1", "t_dr-bound2"],
 )
 def test_moments_reject_negative_sizes(consumer, n, m):
     # Below 0 the same rule holds: E N is not an empty product of 1, and the
