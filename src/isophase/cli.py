@@ -131,6 +131,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_common(args) -> int:
+    if args.max and (args.count or args.m is not None):
+        raise InvalidInputError("--max searches for the largest size; --count and --m do "
+                                "not apply to it")
     x = _load_or_sample(args, "x")
     y = _load_or_sample(args, "y")
     payload: dict = {"n": x.n, "budget": args.budget}
@@ -141,11 +144,12 @@ def cmd_common(args) -> int:
             payload.update(_partial_witness(res.witness))
         code = EXIT_OK if res.conclusive else EXIT_BUDGET
     else:
-        payload["m"] = args.m
+        m = 1 if args.m is None else args.m
+        payload["m"] = m
         if args.count:
-            code = _count(payload, lambda: common_count(x, y, args.m, args.budget))
+            code = _count(payload, lambda: common_count(x, y, m, args.budget))
         else:
-            code = _exists(payload, common_exists(x, y, args.m, args.budget), _partial_witness)
+            code = _exists(payload, common_exists(x, y, m, args.budget), _partial_witness)
     _emit(payload, args.json)
     return code
 
@@ -174,6 +178,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.decompose and (args.variant == "embed" or args.first_only):
+        raise InvalidInputError("--decompose splits the common-subgraph ratio; it does not "
+                                "apply with --variant embed or --first-only")
     params = thresholds.derive_params(args.p, args.q)
     variant = edgegraph.EMBEDDING if args.variant == "embed" else edgegraph.COMMON
     n, m = args.n, args.m
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("common", help="common induced subgraph of two graphs")
     _add_graph_source(sp, "x", "first")
     _add_graph_source(sp, "y", "second")
-    sp.add_argument("--m", type=int, default=1, help="target subgraph size")
+    sp.add_argument("--m", type=int, help="target subgraph size (default 1)")
     sp.add_argument("--count", action="store_true")
     sp.add_argument("--max", action="store_true", help="find the maximum size")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -23,7 +23,7 @@ outside, a class holds
 
 partners.  A total injection is the partial injection on the domain [m], so
 the embedding classes are those whose chains all start free and end sent
-outside (b = s = 0), and both censuses come from one pair-graph builder.
+outside (b = s = 0).  Each class's entry is read off its cycles and chains.
 The number of classes depends on m alone; counts stay exact integers, and
 the cache keyed by the overlap statistics serves every (p, q).
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -53,7 +54,6 @@ from typing import Callable
 
 from . import edgegraph
 from .errors import ParameterError, RegionError, ScaleError, StructuralError, SymmetryError
-from .isosearch import PartialInjection
 from .thresholds import ModelParams, derive_params, in_admissible_region
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,10 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 # ---------------------------------------------------------------------------
 # census of pair graphs over all ordered map pairs (shared, (p,q)-independent)
 
-# A census builds one pair graph per orbit class, at about 5 us per domain
-# pair on a 2-core x86-64 host, so it admits at most
-# CLASS_BOUND // max(1, C(m, 2)) classes to stay under about a minute:
-# common m = 12 (76,705 classes) takes 27 s, embedding m = 21 (35,002) 29 s.
+# A census reads each orbit class's entry in 40-120 us on a 2-core x86-64
+# host and admits at most CLASS_BOUND // max(1, C(m, 2)) classes, the rule
+# of the pair graphs it once built: common n = 18, m = 13 (104,640 classes)
+# takes 13 s, common m = 12 (76,705) 7.6 s, embedding m = 21 (35,002) 3.1 s.
 CLASS_BOUND = 10**7
 
 # Chain tags (start hit from outside [m], end outside g's domain).  A partner
@@ -273,33 +273,39 @@ def _classes(n: int, m: int, variant: str):
                         * falling_factorial(n - m, b - s + e))
 
 
-def _representative(m: int, cls: tuple) -> PartialInjection:
-    """A partner map of the class: cycles and chains laid on 0..m-1 in turn,
-    with fresh points from m on for the domain and range outside [m]."""
-    image_of: dict[int, int] = {}
-    pos, out_dom, out_img = 0, m, m
-    for (length, tag), mult in cls:
-        for _ in range(mult):
-            last = pos + length - 1
-            for u in range(pos, last):
-                image_of[u] = u + 1
-            if tag is None:
-                image_of[last] = pos
-            else:
-                hit, unmapped = tag
-                if hit:
-                    image_of[out_dom] = pos
-                    out_dom += 1
-                if not unmapped:
-                    image_of[last] = out_img
-                    out_img += 1
-            pos += length
-    while len(image_of) < m:  # domain points outside [m] sent outside [m]
-        image_of[out_dom] = out_img
-        out_dom += 1
-        out_img += 1
-    domain = tuple(sorted(image_of))
-    return PartialInjection(domain, tuple(image_of[u] for u in domain))
+def _class_entry(m: int, cls: tuple) -> tuple[int, int, int, edgegraph.Sig, int]:
+    """(d, r, ell, census signature, components) of the pair graph of the
+    identity and a partner in the class, read off its cycles and chains.  As
+    in the cycle index of the pair group, a cycle c gives (c-1)//2 components
+    (c, c) and one (c/2, c/2) if c is even, cycles a, b give gcd(a, b) of
+    (lcm, lcm), a chain (a, hit, sent) and a cycle c give c of (a + hit,
+    a + sent), two chains one per offset t, other pairs of g's domain (1, 1).
+    """
+    comps: Counter = Counter()
+    cycles = [(c, mult) for (c, tag), mult in cls if tag is None]
+    chains = [(a, tag[0], not tag[1], mult) for (a, tag), mult in cls if tag is not None]
+    for i, (c, mult) in enumerate(cycles):
+        comps[c, c] += mult * ((c - 1) // 2) + binom(mult, 2) * c
+        if c % 2 == 0:
+            comps[c // 2, c // 2] += mult
+        for c2, mult2 in cycles[i + 1:]:
+            comps[math.lcm(c, c2), math.lcm(c, c2)] += math.gcd(c, c2) * mult * mult2
+    on_cycles = sum(c * mult for c, mult in cycles)
+    for i, (a, hit_a, sent_a, mult) in enumerate(chains):
+        comps[a + hit_a, a + sent_a] += on_cycles * mult
+        for j, (b, hit_b, sent_b, mult_b) in enumerate(chains[i:]):
+            for t in range(1 - a, b):  # j = 0: chains of A's kind, and A itself at t > 0
+                ra, rb = a - max(0, -t), b - max(0, t)
+                k = min(ra, rb)
+                comps[k + ((hit_a or t < 0) and (hit_b or t > 0)),
+                      k + ((k < ra or sent_a) and (k < rb or sent_b))] += (
+                    mult * mult_b if j else binom(mult + (t > 0), 2))
+    u = sum(mult for _, _, sent, mult in chains if not sent)
+    s = sum(mult for _, hit, _, mult in chains if hit)
+    n_chains = sum(mult for *_, mult in chains)
+    comps[1, 1] += binom(m, 2) - binom(m - u, 2) - binom(s, 2) - s * (m - n_chains)
+    sig = tuple(sorted((j, k, cnt) for (j, k), cnt in comps.items() if cnt))
+    return m - u, m - n_chains + s, dict(cls)[(1, None)], sig, sum(comps.values())
 
 
 @lru_cache(maxsize=32)
@@ -310,10 +316,9 @@ def _census(
     for embedding, (d, r) for common -> {(signature, components): count}.
 
     It needs 0 <= m <= n, at most CLASS_BOUND // C(m, 2) orbit classes,
-    counted before any pair graph is built, and a pair space within the
-    float range.  The pairs (identity, g) with g in one class have
-    isomorphic pair graphs, so each class builds one and counts its size
-    times |maps|.
+    counted before any entry is read, and a pair space within the float
+    range.  The pairs (identity, g) with g in one class have isomorphic
+    pair graphs, so each class's entry counts its size times |maps|.
     """
     _, count_maps, _ = _variant(variant)
     _check_sizes(n, m)
@@ -324,16 +329,11 @@ def _census(
     maps = count_maps(n, m)
     if maps**2 > sys.float_info.max:
         raise ScaleError(f"the pair space of n={n}, m={m} exceeds the float range")
-    identity = PartialInjection(tuple(range(m)), tuple(range(m)))
     buckets: dict = {}
     for cls, size in classes:
-        prof = edgegraph.classify_components(
-            edgegraph.build_common_edge_graph(identity, _representative(m, cls))
-        )
-        key = (prof.r, prof.ell) if variant == edgegraph.EMBEDDING else (prof.d, prof.r)
-        inner = buckets.setdefault(key, {})
-        entry = (prof.census_signature(), prof.n_components)
-        inner[entry] = inner.get(entry, 0) + size * maps
+        d, r, ell, sig, n_components = _class_entry(m, cls)
+        inner = buckets.setdefault((r, ell) if variant == edgegraph.EMBEDDING else (d, r), {})
+        inner[(sig, n_components)] = inner.get((sig, n_components), 0) + size * maps
     return buckets
 
 

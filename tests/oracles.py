@@ -6,7 +6,10 @@ graph census, the closed-form cardinalities, or the solvers' pruning logic,
 so agreement with the library is meaningful evidence.  The exceptions,
 `census_all_pairs` and `identity_census`, use the library's pair classifier
 and check only its use of relabeling symmetry: the first sweeps every
-ordered pair, the second pairs the identity with every map.
+ordered pair, the second pairs the identity with every map.  Through the
+same builder and classifier, `representative` gives each orbit class of
+the census one partner of the identity whose pair graph is built and
+classified, to check the entry the census reads off the class.
 The pair-graph references build an EdgeGraph straight from two total
 injections and count zcal pair by pair, without the library's builder.  The
 sampler and sweep references are the plain loops that the library's
@@ -221,6 +224,36 @@ def identity_census(n: int, m: int, variant: str) -> dict:
     maps = len(domains) * math.perm(n, m)
     return {key: {entry: cnt * maps for entry, cnt in inner.items()}
             for key, inner in buckets.items()}
+
+
+def representative(m: int, cls: tuple) -> PartialInjection:
+    """A partner map of an orbit class of `moments._classes`: cycles and
+    chains laid on 0..m-1 in turn, with fresh points from m on for the
+    domain and range outside [m]."""
+    image_of: dict[int, int] = {}
+    pos, out_dom, out_img = 0, m, m
+    for (length, tag), mult in cls:
+        for _ in range(mult):
+            last = pos + length - 1
+            for u in range(pos, last):
+                image_of[u] = u + 1
+            if tag is None:
+                image_of[last] = pos
+            else:
+                hit, unmapped = tag
+                if hit:
+                    image_of[out_dom] = pos
+                    out_dom += 1
+                if not unmapped:
+                    image_of[last] = out_img
+                    out_img += 1
+            pos += length
+    while len(image_of) < m:  # domain points outside [m] sent outside [m]
+        image_of[out_dom] = out_img
+        out_dom += 1
+        out_img += 1
+    domain = tuple(sorted(image_of))
+    return PartialInjection(domain, tuple(image_of[u] for u in domain))
 
 
 # ---------------------------------------------------------------------------

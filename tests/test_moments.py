@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -473,12 +473,34 @@ def test_census_equals_identity_census(variant, n, m):
     assert moments._census(n, m, variant) == oracles.identity_census(n, m, variant)
 
 
+@pytest.mark.parametrize(
+    "m, sizes, step",
+    [(m, (m, m + 1, 2 * m - 1, 2 * m + 3), 1) for m in range(9)]
+    + [(m, (m, m + 3, 3 * m), 37) for m in range(9, 13)],
+    ids=[f"m={m}" for m in range(13)],
+)
+def test_class_entry_equals_pair_graph_census(m, sizes, step):
+    # Each class's entry, read off its cycles and chains, against the pair
+    # graph of the identity and one partner of the class, built and
+    # classified: every class at m <= 8, every `step`-th one above.
+    classes = dict.fromkeys(
+        cls
+        for variant in ("embedding", "common")
+        for n in sizes if n >= m
+        for cls, _ in islice(moments._classes(n, m, variant), 0, None, step)
+    )
+    identity = PartialInjection(tuple(range(m)), tuple(range(m)))
+    for cls in classes:
+        prof = classify_components(build_common_edge_graph(identity, oracles.representative(m, cls)))
+        want = (prof.d, prof.r, prof.ell, prof.census_signature(), prof.n_components)
+        assert moments._class_entry(m, cls) == want, cls
+
+
 @pytest.mark.parametrize("variant, m", [("embedding", 6), ("common", 4)])
 def test_census_cost_does_not_depend_on_n(monkeypatch, variant, m):
     calls = []
-    build = moments.edgegraph.build_common_edge_graph
-    monkeypatch.setattr(moments.edgegraph, "build_common_edge_graph",
-                        lambda f, g: calls.append(1) or build(f, g))
+    entry = moments._class_entry
+    monkeypatch.setattr(moments, "_class_entry", lambda *args: calls.append(1) or entry(*args))
     built = []
     for n in (2 * m, 10**6):
         moments._census.cache_clear()
@@ -501,8 +523,7 @@ def test_second_moment_ratio_at_the_threshold(variant, n, m, ratio):
 
 def test_census_class_bound_stops_before_building(monkeypatch):
     calls = []
-    monkeypatch.setattr(moments.edgegraph, "build_common_edge_graph",
-                        lambda f, g: calls.append(1))
+    monkeypatch.setattr(moments, "_class_entry", lambda *args: calls.append(1))
     moments._census.cache_clear()
     with pytest.raises(ScaleError, match="orbit classes"):
         second_moment_exact(10**6, 14, HALF, "common")
