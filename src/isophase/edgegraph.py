@@ -209,27 +209,3 @@ def pair_moment(profile: ComponentProfile, params: ModelParams, variant: str = C
     the product over the census of tau_{j,k}^count."""
     check_variant(variant, params.q)
     return math.exp(log_pair_moment(profile.census_signature(), params))
-
-
-def pair_moment_exact(profile: ComponentProfile, p, q):
-    """Exact-rational pair moment for tiny-scale cross-checks.
-
-    p and q should be fractions.Fraction (or exact ints 0/1 excluded by use);
-    returns a Fraction.
-    """
-    total = 1
-    for (j, k), cnt in profile.c.items():
-        tau = p**j * q**k + (1 - p) ** j * (1 - q) ** k
-        total *= tau**cnt
-    return total
-
-
-def dump_edge_graph(t: EdgeGraph) -> str:
-    """Text dump (left list, right list, edge list) for fixture tests."""
-    lines = [f"left {len(t.left)}"]
-    lines.extend(f"{a} {b}" for a, b in t.left)
-    lines.append(f"right {len(t.right)}")
-    lines.extend(f"{a} {b}" for a, b in t.right)
-    lines.append(f"edges {len(t.edges)}")
-    lines.extend(f"{li} {ri}" for li, ri in sorted(t.edges))
-    return "\n".join(lines) + "\n"

@@ -25,10 +25,10 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 from .errors import InvalidInputError, ParameterError
-from .graphs import EdgeLaw, batch_lanes, induced_subgraph, sample_gnp_many
+from .graphs import EdgeLaw, batch_lanes, induced_prefix, sample_gnp_many
 # The sweep draws through sample_gnp_many; sample_gnp stays bound here because
 # tools that trace the sweep patch its sampler under this name.
 from .graphs import sample_gnp  # noqa: F401
@@ -222,7 +222,7 @@ def _run_n(config: ExperimentConfig, n: int) -> list[CellResult]:
             for i, m in enumerate(sizes):
                 start = time.perf_counter()
                 if embed:
-                    outcome = embed_exists(induced_subgraph(x, range(m)), y, config.node_budget)
+                    outcome = embed_exists(induced_prefix(x, m), y, config.node_budget)
                 else:
                     outcome = common_exists(x, y, m, config.node_budget)
                 seconds[i] += time.perf_counter() - start
@@ -275,18 +275,3 @@ def export(result: SweepResult, fmt: str, path: str) -> None:
         raise InvalidInputError(f"unknown export format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
-
-
-def parse_csv(text: str) -> list[dict]:
-    """Inverse of the CSV export, for round-trip checks."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_COLUMNS:
-        raise InvalidInputError("unexpected CSV header")
-    casts = get_type_hints(CellResult)  # each column's str, int or float
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(casts):
-            raise InvalidInputError(f"bad CSV row: {ln!r}")
-        out.append({key: casts[key](value) for key, value in zip(casts, parts)})
-    return out

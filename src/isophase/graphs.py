@@ -6,9 +6,11 @@ uniform draw per unordered pair in lexicographic order, so a given
 (n, p, seed) triple always yields bit-identical adjacency.
 
 `sample_gnp_many` draws many laws on one n in one pass: their xoshiro256**
-streams step together in one Python int, a 128-bit lane each, 64 state bits
-under 64 guard bits.  A pass holds at most `_BATCH_PAIRS` pairs over all its
+streams step together in one Python int, a 72-bit lane each, 64 state bits
+under 8 guard bits.  A pass holds at most `_BATCH_PAIRS` pairs over all its
 lanes, so large n draw one lane per pass; `sample_gnp` is the one-lane case.
+A graph's non-adjacency rows, which the search reads, are built once, on
+first use.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from .errors import InvalidMapError, InvalidSubsetError, ParameterError, SizeErr
 from .rng import MASK64, Xoshiro256StarStar
 
 MAX_VERTICES = 4096
-# Pairs drawn in one lane-parallel pass of `sample_gnp_many`, over all lanes.
+# Pairs drawn in one lane-parallel pass of `sample_gnp_many`, over all lanes;
+# the pass's flag buffer holds 9 bytes per lane for each 64 of a lane's pairs.
 _BATCH_PAIRS = 1 << 18
 
 
 class Graph:
     """Loop-free undirected graph with symmetric bitrow adjacency."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_non")
 
     def __init__(self, n: int, rows: Sequence[int] | None = None):
         if n < 0:
@@ -36,6 +39,7 @@ class Graph:
         if n > MAX_VERTICES:
             raise SizeError(f"vertex count {n} exceeds the configured cap {MAX_VERTICES}")
         self.n = n
+        self._non = None
         if rows is None:
             self.adj = (0,) * n
         else:
@@ -62,6 +66,15 @@ class Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         return cls(n, rows)
+
+    @property
+    def non(self) -> tuple[int, ...]:
+        """Non-adjacency rows, built on first use: bit j of non[i] means j != i
+        and {i, j} is no edge."""
+        if self._non is None:
+            full = (1 << self.n) - 1
+            self._non = tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adj))
+        return self._non
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
@@ -112,8 +125,8 @@ def sample_gnp(law: EdgeLaw) -> Graph:
 
     Pairs {i, j}, i < j, are visited in lexicographic order and each consumes
     exactly one uniform draw of the law's xoshiro256** stream; the edge is
-    present iff the draw is < p.  The stream steps in one 128-bit lane, its
-    64 state bits under 64 guard bits, so a single draw costs what the plain
+    present iff the draw is < p.  The stream steps in one 72-bit lane, its
+    64 state bits under 8 guard bits, so a single draw costs what the plain
     stream loop does; a batch of laws on one n is cheaper per graph.
     """
     return sample_gnp_many([law])[0]
@@ -124,16 +137,18 @@ def sample_gnp_many(laws: Sequence[EdgeLaw]) -> list[Graph]:
     `sample_gnp` of its law, bit for bit.
 
     The laws' xoshiro256** streams step together inside one Python int, one
-    128-bit lane per law: 64 state bits and 64 guard bits.  The guard bits
-    take the carries of the *5 and *9 and the bits a shift moves past a
-    lane's top, and the lane masks clear them after each step, so no lane
-    reads another's.  The draw (u >> 11) * 2^-53 < p is tested as
+    72-bit lane per law: 64 state bits and 8 guard bits.  The guard bits take
+    the carries of the *5 and *9 and the flag at bit 64; per-lane masks drop
+    the bits that the shift by 17 and the rotations by 7 and 45 would move
+    past a lane's top or bottom, before or as they move, so no lane reads
+    another's.  The draw (u >> 11) * 2^-53 < p is tested as
     u < ceil(p * 2^53) << 11 on the raw 64-bit output u, which is exact
     because scaling by 2^53 is; all lanes test it in one subtraction, as bit
     64 of (below - 1 + 2^64) - u, which borrows from no other lane, p = 0 and
-    p = 1 included.  The flags of 64 steps are packed into one word per lane,
-    so a lane's words are its graph's upper triangle as one bitstream; that
-    is cut into rows, and a bit-matrix transpose gives the symmetric half.
+    p = 1 included.  The flags of 64 steps are packed into one 9-byte word
+    per lane, so a lane's words, less their guard bytes, are its graph's
+    upper triangle as one bitstream; that is cut into rows, and a bit-matrix
+    transpose gives the symmetric half.
     A pass draws at most `batch_lanes(n)` laws, which keeps its memory flat
     in n: at n = 4096 each pass draws one.
     """
@@ -156,8 +171,8 @@ def batch_lanes(n: int) -> int:
 
 
 def _lanes(values: Iterable[int]) -> int:
-    """One int holding each value in a 128-bit lane of its own, the first lowest."""
-    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+    """One int holding each value in a 72-bit lane of its own, the first lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(9, "little") for v in values), "little")
 
 
 def _draw_pass(n: int, laws: Sequence[EdgeLaw]) -> list[Graph]:
@@ -180,7 +195,7 @@ def _draw_pass(n: int, laws: Sequence[EdgeLaw]) -> list[Graph]:
 
 
 def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
-    """The edge flags of every law's pairs, 64 per 16-byte lane of a word:
+    """The edge flags of every law's pairs, 64 per 9-byte lane of a word:
     bit r of law k's lanes, read in word order, is its r-th pair's."""
     count = len(laws)
     streams = [Xoshiro256StarStar(law.seed) for law in laws]
@@ -188,25 +203,26 @@ def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
     s1 = _lanes(s.s1 for s in streams)
     s2 = _lanes(s.s2 for s in streams)
     s3 = _lanes(s.s3 for s in streams)
-    lo = _lanes([MASK64] * count)
+    # each lane's low b bits, for the bits a shift or rotation keeps in it
+    lo, m7, m19, m45, m47, m57 = (_lanes([(1 << b) - 1] * count) for b in (64, 7, 19, 45, 47, 57))
     flag = _lanes([1 << 64] * count)
     # law k's lane holds below - 1 + 2^64, for below = ceil(p * 2^53) << 11
     cut = _lanes((math.ceil(law.p * 9007199254740992.0) << 11) + MASK64 for law in laws)
     pairs = n * (n - 1) // 2
-    width = 16 * count
+    width = 9 * count
     bits = bytearray()
     for start in range(0, pairs, 64):
         word = 0
         for shift in range(64, 64 - min(64, pairs - start), -1):
-            x = s1 * 5 & lo
-            u = ((x << 7 | x >> 57) & lo) * 9 & lo
-            t = s1 << 17
+            x = s1 * 5  # below 2^67: the carry stays in the guard bits
+            u = ((x & m57) << 7 | x >> 57 & m7) * 9 & lo
+            t = (s1 & m47) << 17
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
-            s2 = (s2 ^ t) & lo
-            s3 = (s3 << 45 | s3 >> 19) & lo
+            s2 ^= t
+            s3 = (s3 & m19) << 45 | s3 >> 19 & m45
             word |= (cut - u & flag) >> shift  # the flag of step 64 - shift
         bits += word.to_bytes(width, "little")
     return bits
@@ -215,12 +231,14 @@ def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
 def _upper_matrices(bits: bytearray, n: int, count: int, stride: int) -> int:
     """Law k's upper triangle as a stride x stride bit matrix from bit
     k * stride^2 on, its row i from i * stride bits further."""
-    words = memoryview(bits).cast("Q")  # each lane's low word, then its guard word
+    width = 9 * count  # bytes per word of all lanes; a lane's ninth byte is its guard
     rowbytes = stride // 8
     pad = bytes((stride - n) * rowbytes)
+    stream = bytearray(len(bits) // width * 8)
     upper = bytearray()
     for k in range(count):
-        stream = words[2 * k::2 * count].tobytes()
+        for b in range(8):  # byte b of each of lane k's words
+            stream[b::8] = bits[9 * k + b::width]
         at = 0
         for i in range(n):
             length = n - 1 - i  # pairs {i, i + 1}, ..., {i, n - 1} from bit `at` on
@@ -276,6 +294,16 @@ def induced_subgraph(g: Graph, subset: Sequence[int]) -> Graph:
         rows[a] = row
     h = Graph(k)
     h.adj = tuple(rows)
+    return h
+
+
+def induced_prefix(g: Graph, m: int) -> Graph:
+    """`induced_subgraph(g, range(m))` in O(m): rows 0..m-1 masked to 0..m-1."""
+    if not 0 <= m <= g.n:
+        raise InvalidSubsetError(f"prefix size {m} outside 0..{g.n}")
+    mask = (1 << m) - 1
+    h = Graph(m)
+    h.adj = tuple(row & mask for row in g.adj[:m])
     return h
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceededError, InvalidMapError, SizeError
+from .errors import BudgetExceededError, InvalidMapError, ParameterError, SizeError
 from .graphs import Graph
 
 DEFAULT_BUDGET = 10**8
@@ -108,7 +108,12 @@ def is_partial_isomorphism(x: Graph, y: Graph, f: PartialInjection) -> bool:
     return True
 
 
-def _search(xrows, yrows, m: int, budget: int, count_all: bool):
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ParameterError(f"node budget must be nonnegative, got {budget}")
+
+
+def _search(x: Graph, y: Graph, m: int, budget: int, count_all: bool):
     """DFS over size-m partial injections from x into y, in label classes.
 
     A state is a list of classes (P, H), bitmasks of undecided pattern
@@ -131,7 +136,9 @@ def _search(xrows, yrows, m: int, budget: int, count_all: bool):
     Nodes count assignments tried, and every counted node is checked against
     the budget.  Returns (count, (domain, image) or None, nodes, exceeded).
     """
-    nx, ny = len(xrows), len(yrows)
+    _check_budget(budget)
+    xrows, yrows = x.adj, y.adj
+    nx, ny = x.n, y.n
     if m < 0:
         raise SizeError("subgraph size must be nonnegative")
     if m > nx or m > ny:
@@ -141,8 +148,7 @@ def _search(xrows, yrows, m: int, budget: int, count_all: bool):
     if m == ny == nx and sorted(map(int.bit_count, xrows)) != sorted(map(int.bit_count, yrows)):
         return 0, None, 0, False  # an isomorphism keeps the degree sequence
     xfull, yfull = (1 << nx) - 1, (1 << ny) - 1
-    xnon = [xfull & ~row & ~(1 << v) for v, row in enumerate(xrows)]
-    ynon = [yfull & ~row & ~(1 << w) for w, row in enumerate(yrows)]
+    xnon, ynon = x.non, y.non
     nodes = count = 0
     # A frame is [classes, slack, deficit, branch class, v, images left, w].
     stack = []
@@ -227,7 +233,7 @@ def _search(xrows, yrows, m: int, budget: int, count_all: bool):
 
 def embed_exists(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Is x isomorphic to an induced subgraph of y?"""
-    _, pair, nodes, exceeded = _search(x.adj, y.adj, x.n, budget, count_all=False)
+    _, pair, nodes, exceeded = _search(x, y, x.n, budget, count_all=False)
     if exceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if pair is not None:
@@ -237,7 +243,7 @@ def embed_exists(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> SearchOutc
 
 def embed_count(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Number of injections mapping x onto an induced subgraph of y."""
-    count, _, nodes, exceeded = _search(x.adj, y.adj, x.n, budget, count_all=True)
+    count, _, nodes, exceeded = _search(x, y, x.n, budget, count_all=True)
     if exceeded:
         raise BudgetExceededError("embedding count hit the node budget", count, nodes)
     return CountResult(count, nodes)
@@ -245,7 +251,7 @@ def embed_count(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> CountResult
 
 def common_exists(x: Graph, y: Graph, m: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Do x and y contain isomorphic induced subgraphs on m vertices?"""
-    _, pair, nodes, exceeded = _search(x.adj, y.adj, m, budget, count_all=False)
+    _, pair, nodes, exceeded = _search(x, y, m, budget, count_all=False)
     if exceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if pair is not None:
@@ -255,7 +261,7 @@ def common_exists(x: Graph, y: Graph, m: int, budget: int = DEFAULT_BUDGET) -> S
 
 def common_count(x: Graph, y: Graph, m: int, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Number of size-m partial injections matching x and y exactly."""
-    count, _, nodes, exceeded = _search(x.adj, y.adj, m, budget, count_all=True)
+    count, _, nodes, exceeded = _search(x, y, m, budget, count_all=True)
     if exceeded:
         raise BudgetExceededError("common-subgraph count hit the node budget", count, nodes)
     return CountResult(count, nodes)
@@ -286,6 +292,7 @@ def max_common_size(x: Graph, y: Graph, budget: int = DEFAULT_BUDGET) -> MaxComm
     budget is shared across levels; on exhaustion the result reports the best
     verified lower bound and the smallest refuted size.
     """
+    _check_budget(budget)
     if x.n != y.n:
         raise SizeError("maximum common subgraph expects graphs of equal size")
     n = x.n

@@ -551,16 +551,20 @@ def t_dr(
         raise SymmetryError("bounds assume r <= d; swap and mirror parameters")
     if not in_admissible_region(params.p, params.q):
         raise RegionError("the t_dr bounds need (p, q) in the admissible region")
-    card_ratio = count_H_dr(n, m, d, r) / space**2
+    if mode not in ("bound1", "bound2"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if mode == "bound2" and r < c * m:
+        raise ParameterError("bound2 needs c*m <= r")
+    count = count_H_dr(n, m, d, r)
+    if not count:
+        return 0.0
+    # Summed as logs: the cardinality ratio can underflow a float where the
+    # correlation factor overflows one, though their product is in range.
     expo = (1.0 - params.gamma) * binom(d, 2) + params.gamma * binom(r, 2)
-    base = card_ratio * math.exp(-expo * math.log(params.tau))
-    if mode == "bound1":
-        return base
+    logs = [math.log(count), -2.0 * math.log(space), -expo * math.log(params.tau)]
     if mode == "bound2":
-        if r < c * m:
-            raise ParameterError("bound2 needs c*m <= r")
-        return base * psi_factor(m, params, c) / falling_factorial(m, r)
-    raise ParameterError(f"unknown mode {mode!r}")
+        logs += [math.log(psi_factor(m, params, c)), -math.log(falling_factorial(m, r))]
+    return float_exp(math.fsum(logs), f"t_dr {mode}")
 
 
 @dataclass(frozen=True)

@@ -106,16 +106,6 @@ def extension_witness(u_set: Iterable[int], v_set: Iterable[int]) -> int:
     return sum(1 << u for u in us) + (1 << top)
 
 
-def von_neumann(k: int) -> HereditarilyFiniteSet:
-    """The finite ordinal k as a set: 0 = {} and k = {0, ..., k-1}."""
-    if k < 0:
-        raise InvalidInputError("ordinals are natural numbers")
-    out = []
-    for _ in range(k):
-        out.append(HereditarilyFiniteSet(out))
-    return HereditarilyFiniteSet(out)
-
-
 def random_set(stream: Xoshiro256StarStar, max_depth: int = 4) -> HereditarilyFiniteSet:
     """Random hereditarily finite set with depth at most max_depth."""
     if max_depth <= 0:

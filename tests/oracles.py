@@ -15,6 +15,8 @@ injections and count zcal pair by pair, without the library's builder.  The
 sampler and sweep references are the plain loops that the library's
 inlined sampler and coupled sweep replace, and `search_reference` at the end
 is the static-order search core that the label-class core replaced.
+Last come helpers that only the tests call: the exact-rational pair moment,
+the pair-graph text dump, the sweep CSV reader and the von Neumann ordinals.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,8 +36,8 @@ from isophase.edgegraph import (
     build_common_edge_graph,
     classify_components,
 )
-from isophase.errors import SizeError
-from isophase.experiments import PROBLEM_EMBED
+from isophase.errors import InvalidInputError, SizeError
+from isophase.experiments import CSV_COLUMNS, PROBLEM_EMBED, CellResult
 from isophase.graphs import EdgeLaw, Graph, induced_subgraph
 from isophase.isosearch import (
     BUDGET_EXCEEDED,
@@ -46,6 +49,7 @@ from isophase.isosearch import (
     common_exists,
     embed_exists,
 )
+from isophase.rado import HereditarilyFiniteSet
 from isophase.rng import Xoshiro256StarStar, fold_seed
 
 
@@ -553,3 +557,49 @@ def reference_outcome(x, y, m, budget: int) -> SearchOutcome:
         return SearchOutcome(EXHAUSTED, None, nodes)
     witness = Injection(x.n, y.n, pair[1]) if m is None else PartialInjection(*pair)
     return SearchOutcome(FOUND, witness, nodes)
+
+
+def pair_moment_exact(profile, p, q):
+    """The pair moment in exact rationals: p and q are Fractions, and so is
+    the product over the census of tau_{j,k}^count."""
+    total = 1
+    for (j, k), cnt in profile.c.items():
+        tau = p**j * q**k + (1 - p) ** j * (1 - q) ** k
+        total *= tau**cnt
+    return total
+
+
+def dump_edge_graph(t: EdgeGraph) -> str:
+    """Text dump (left list, right list, edge list) of a pair graph."""
+    lines = [f"left {len(t.left)}"]
+    lines.extend(f"{a} {b}" for a, b in t.left)
+    lines.append(f"right {len(t.right)}")
+    lines.extend(f"{a} {b}" for a, b in t.right)
+    lines.append(f"edges {len(t.edges)}")
+    lines.extend(f"{li} {ri}" for li, ri in sorted(t.edges))
+    return "\n".join(lines) + "\n"
+
+
+def parse_csv(text: str) -> list[dict]:
+    """Inverse of the sweep's CSV export, for round-trip checks."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != CSV_COLUMNS:
+        raise InvalidInputError("unexpected CSV header")
+    casts = get_type_hints(CellResult)  # each column's str, int or float
+    out = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(casts):
+            raise InvalidInputError(f"bad CSV row: {ln!r}")
+        out.append({key: casts[key](value) for key, value in zip(casts, parts)})
+    return out
+
+
+def von_neumann(k: int) -> HereditarilyFiniteSet:
+    """The finite ordinal k as a set: 0 = {} and k = {0, ..., k-1}."""
+    if k < 0:
+        raise InvalidInputError("ordinals are natural numbers")
+    out = []
+    for _ in range(k):
+        out.append(HereditarilyFiniteSet(out))
+    return HereditarilyFiniteSet(out)

@@ -7,15 +7,18 @@ from isophase.edgegraph import (
     build_common_edge_graph,
     build_embedding_edge_graph,
     classify_components,
-    dump_edge_graph,
     pair_moment,
-    pair_moment_exact,
 )
 from isophase.errors import InvalidMapError, ParameterError
 from isophase.isosearch import Injection, PartialInjection
 from isophase.rng import Xoshiro256StarStar
 from isophase.thresholds import derive_params
-from oracles import embedding_edge_graph_reference, zcal_reference
+from oracles import (
+    dump_edge_graph,
+    embedding_edge_graph_reference,
+    pair_moment_exact,
+    zcal_reference,
+)
 
 
 def test_equal_total_maps_collapse_to_singletons():

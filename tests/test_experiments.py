@@ -17,7 +17,6 @@ from isophase.experiments import (
     estimate_probability,
     export,
     locate_empirical_threshold,
-    parse_csv,
     run_sweep,
 )
 from isophase.isosearch import BUDGET_EXCEEDED, FOUND
@@ -213,7 +212,7 @@ def test_export_round_trip(tmp_path):
     jsonl_path = tmp_path / "out.jsonl"
     export(res, "csv", str(csv_path))
     export(res, "jsonl", str(jsonl_path))
-    parsed = parse_csv(csv_path.read_text())
+    parsed = oracles.parse_csv(csv_path.read_text())
     assert len(parsed) == len(res.rows)
     for row, raw in zip(res.rows, parsed):
         assert raw == row.as_dict()

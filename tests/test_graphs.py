@@ -12,6 +12,7 @@ from isophase.graphs import (
     EdgeLaw,
     Graph,
     from_text,
+    induced_prefix,
     induced_subgraph,
     is_isomorphism,
     read_graph,
@@ -19,6 +20,7 @@ from isophase.graphs import (
     sample_gnp_many,
     to_text,
 )
+from isophase.rng import Xoshiro256StarStar
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -69,16 +71,33 @@ def test_sample_equals_the_stream_loop():
         assert sample_gnp(law).adj == sample_gnp_reference(law).adj
 
 
+def _edge_p(n: int, seed: int) -> float:
+    """The p one step of the 53-bit grid above the draw of the law's stream
+    whose 11 low bits are largest: that draw is an edge, and any change to
+    its low bits that carries past them removes the edge."""
+    stream = Xoshiro256StarStar(seed)
+    draws = (stream.next_u64() for _ in range(n * (n - 1) // 2))
+    return ((max(draws, key=lambda u: u & 2047, default=0) >> 11) + 1) * 2.0**-53
+
+
 def test_many_equals_the_stream_loop_lane_by_lane():
     # Each lane has its own p and seed; n crosses the smallest row stride of
     # 8 bits, the 64 pairs of a packed word and the padding of n to a power
-    # of two.  The reference costs most at n = 128 and 129, so fewer lanes.
-    ps = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.37)
+    # of two.  A lane is 72 bits wide, so every bit that the state's shifts
+    # and rotations move past its top or bottom lands in a neighbour unless
+    # its mask drops it.  Every other lane draws at an edge p (`_edge_p`), so
+    # that even a change to a draw's low bits, which the comparison with p
+    # reads only through their carry, flips an edge; the others take the
+    # edge-case p values.  The reference costs most at n = 129, so fewer lanes.
+    ps = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.37, 0.5)
     seeds = (0, 1, -1, -(2**70), 2**64, 2**100 + 3, 123456789)
     sizes = {n: 130 for n in range(13)}
-    sizes.update({63: 65, 64: 65, 65: 65, 128: 2, 129: 2})
+    sizes.update({63: 65, 64: 65, 65: 65, 128: 65, 129: 2})
     for n, most in sizes.items():
-        laws = [EdgeLaw(n, ps[k % len(ps)], seeds[k % len(seeds)] + k) for k in range(most)]
+        laws = []
+        for k in range(most):
+            seed = seeds[k % len(seeds)] + k
+            laws.append(EdgeLaw(n, ps[k // 2 % len(ps)] if k % 2 else _edge_p(n, seed), seed))
         expected = [sample_gnp_reference(law).adj for law in laws]
         for lanes in (0, 1, 2, 64, 65, 130):
             if lanes <= most:
@@ -144,6 +163,32 @@ def test_induced_rejects_bad_subsets():
         induced_subgraph(P3, [2, 1])
     with pytest.raises(InvalidSubsetError):
         induced_subgraph(P3, [0, 3])
+
+
+def test_induced_prefix_equals_the_induced_subgraph():
+    for g in (*sample_gnp_many([EdgeLaw(13, p, 5) for p in (0.0, 0.37, 1.0)]), P3, Graph(0)):
+        for m in range(g.n + 1):
+            assert induced_prefix(g, m) == induced_subgraph(g, range(m)), (g, m)
+    for m in (-1, 4):
+        with pytest.raises(InvalidSubsetError):
+            induced_prefix(P3, m)
+
+
+def test_cached_non_adjacency_rows_equal_fresh_ones():
+    drawn = sample_gnp_many([EdgeLaw(65, p, 7) for p in (0.0, 0.37, 1.0)])
+    built = (
+        *drawn,
+        induced_subgraph(drawn[1], [0, 3, 4, 9, 17, 64]),
+        induced_prefix(drawn[1], 20),
+        Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+        Graph(4, [0b0110, 0b0001, 0b0001, 0]),
+        Graph(0),
+    )
+    for g in built:
+        fresh = tuple(sum(1 << j for j in range(g.n) if j != i and not g.has_edge(i, j))
+                      for i in range(g.n))
+        assert g.non == fresh, g
+        assert g.non is g.non  # built once
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from isophase.errors import BudgetExceededError, InvalidMapError, SizeError
+from isophase.errors import BudgetExceededError, InvalidMapError, ParameterError, SizeError
 from isophase.experiments import ExperimentConfig
 from isophase.graphs import EdgeLaw, Graph, induced_subgraph, sample_gnp
 from isophase.isosearch import (
@@ -195,6 +195,16 @@ def test_budget_exceeded_paths():
     assert embed_exists(one, y, budget=0).status == BUDGET_EXCEEDED
     with pytest.raises(BudgetExceededError):
         embed_count(one, y, budget=2)
+
+
+def test_negative_budget_is_rejected():
+    # A budget of -1 is malformed, not a budget stop at the first node.
+    y = sample_gnp(EdgeLaw(8, 0.5, 2))
+    for search in (lambda: embed_exists(K3, y, -1), lambda: embed_count(K3, y, -1),
+                   lambda: common_exists(y, y, 4, -1), lambda: common_count(y, y, 0, -1),
+                   lambda: max_common_size(y, y, -1)):
+        with pytest.raises(ParameterError, match=r"^node budget must be nonnegative, got -1$"):
+            search()
 
 
 def test_max_common_equals_subset_oracle():

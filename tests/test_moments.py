@@ -391,6 +391,24 @@ def test_t_dr_bound2_structure():
         t_dr(5, 3, params, 3, 0, "bound2", 0.6)
 
 
+def test_t_dr_bounds_past_the_float_range_of_their_factors():
+    # At n = 10^6, m = d = r = 60 the cardinality ratio, 1/C(n, m)^2, is
+    # about 1e-556 and the correlation factor 2^C(60, 2) about 1e533: each
+    # leaves the float range, their product does not.
+    n, m = 10**6, 60
+    exact = Fraction(count_H_dr(n, m, m, m) * 2 ** binom(m, 2), partial_space(n, m) ** 2)
+    bound1 = t_dr(n, m, HALF, m, m, "bound1")
+    assert bound1 == pytest.approx(float(exact), rel=1e-12)
+    bound2 = t_dr(n, m, HALF, m, m, "bound2")
+    psi = moments.psi_factor(m, HALF, 0.75)
+    assert bound2 == pytest.approx(float(exact * Fraction(psi) / falling_factorial(m, m)),
+                                   rel=1e-12)
+    # With n = m the ratio is 1, so the bound itself is 2^1770: one line.
+    for mode in ("bound1", "bound2"):
+        with pytest.raises(ScaleError, match=rf"^t_dr {mode} = exp\(.*\) overflows a float$"):
+            t_dr(m, m, HALF, m, m, mode)
+
+
 def test_t_dr_sums_to_ratio():
     for n, m, p, q in [(4, 2, 0.5, 0.5), (5, 2, 0.3, 0.6), (5, 3, 0.4, 0.6)]:
         params = derive_params(p, q)

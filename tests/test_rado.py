@@ -12,9 +12,9 @@ from isophase.rado import (
     extension_witness,
     parse_set_literal,
     random_set,
-    von_neumann,
 )
 from isophase.rng import Xoshiro256StarStar
+from oracles import von_neumann
 
 
 def test_bit_adjacent_examples():
