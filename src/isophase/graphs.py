@@ -7,10 +7,10 @@ uniform draw per unordered pair in lexicographic order, so a given
 
 `sample_gnp_many` draws many laws on one n in one pass: their xoshiro256**
 streams step together in one Python int, a 72-bit lane each, 64 state bits
-under 8 guard bits.  A pass holds at most `_BATCH_PAIRS` pairs over all its
-lanes, so large n draw one lane per pass; `sample_gnp` is the one-lane case.
-A graph's non-adjacency rows, which the search reads, are built once, on
-first use.
+under 8 guard bits, and write their flags row by row.  A pass holds at most
+`_BATCH_PAIRS` pairs over its lanes, so large n draw one lane per pass, and
+`sample_gnp` is the one-lane case.  A graph's non-adjacency rows, which the
+search reads, are built once, on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .rng import MASK64, Xoshiro256StarStar
 
 MAX_VERTICES = 4096
 # Pairs drawn in one lane-parallel pass of `sample_gnp_many`, over all lanes;
-# the pass's flag buffer holds 9 bytes per lane for each 64 of a lane's pairs.
+# its flag buffer holds 9 bytes per lane for each row chunk from the diagonal on.
 _BATCH_PAIRS = 1 << 18
 
 
@@ -145,10 +145,10 @@ def sample_gnp_many(laws: Sequence[EdgeLaw]) -> list[Graph]:
     u < ceil(p * 2^53) << 11 on the raw 64-bit output u, which is exact
     because scaling by 2^53 is; all lanes test it in one subtraction, as bit
     64 of (below - 1 + 2^64) - u, which borrows from no other lane, p = 0 and
-    p = 1 included.  The flags of 64 steps are packed into one 9-byte word
-    per lane, so a lane's words, less their guard bytes, are its graph's
-    upper triangle as one bitstream; that is cut into rows, and a bit-matrix
-    transpose gives the symmetric half.
+    p = 1 included.  Row i's flags fill a 9-byte word per lane for each chunk
+    of min(64, stride) columns from column i's on, so a lane's words, less
+    guard bytes, are its padded upper triangle; strided copies place them, and
+    a bit-matrix transpose gives the symmetric half.
     A pass draws at most `batch_lanes(n)` laws, which keeps its memory flat
     in n: at n = 4096 each pass draws one.
     """
@@ -178,8 +178,9 @@ def _lanes(values: Iterable[int]) -> int:
 def _draw_pass(n: int, laws: Sequence[EdgeLaw]) -> list[Graph]:
     count = len(laws)
     stride = max(8, 1 << (n - 1).bit_length())  # a power of two >= n, in whole bytes
+    chunk = min(64, stride)  # the columns of one flag word
     rowbytes = stride // 8
-    matrices = _upper_matrices(_pair_flags(n, laws), n, count, stride)
+    matrices = _upper_matrices(_pair_flags(n, laws, chunk), n, count, stride, chunk)
     symmetric = matrices | _transpose(matrices, stride, count)
     whole = symmetric.to_bytes(count * stride * rowbytes, "little")
     graphs = []
@@ -194,9 +195,9 @@ def _draw_pass(n: int, laws: Sequence[EdgeLaw]) -> list[Graph]:
     return graphs
 
 
-def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
-    """The edge flags of every law's pairs, 64 per 9-byte lane of a word:
-    bit r of law k's lanes, read in word order, is its r-th pair's."""
+def _pair_flags(n: int, laws: Sequence[EdgeLaw], chunk: int) -> bytearray:
+    """Every law's edge flags: a word of 9-byte lanes for each row i and each
+    chunk c..c + chunk - 1 of columns from i's on, {i, j}'s flag at bit j - c."""
     count = len(laws)
     streams = [Xoshiro256StarStar(law.seed) for law in laws]
     s0 = _lanes(s.s0 for s in streams)
@@ -208,44 +209,43 @@ def _pair_flags(n: int, laws: Sequence[EdgeLaw]) -> bytearray:
     flag = _lanes([1 << 64] * count)
     # law k's lane holds below - 1 + 2^64, for below = ceil(p * 2^53) << 11
     cut = _lanes((math.ceil(law.p * 9007199254740992.0) << 11) + MASK64 for law in laws)
-    pairs = n * (n - 1) // 2
     width = 9 * count
     bits = bytearray()
-    for start in range(0, pairs, 64):
-        word = 0
-        for shift in range(64, 64 - min(64, pairs - start), -1):
-            x = s1 * 5  # below 2^67: the carry stays in the guard bits
-            u = ((x & m57) << 7 | x >> 57 & m7) * 9 & lo
-            t = (s1 & m47) << 17
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 & m19) << 45 | s3 >> 19 & m45
-            word |= (cut - u & flag) >> shift  # the flag of step 64 - shift
-        bits += word.to_bytes(width, "little")
+    for i in range(n):  # the pairs {i, j}, j > i, in lexicographic order
+        for c in range(i - i % chunk, n, chunk):
+            word = 0
+            for shift in range(64 + c - max(i + 1, c), 64 + c - min(n, c + chunk), -1):
+                x = s1 * 5  # below 2^67: the carry stays in the guard bits
+                u = ((x & m57) << 7 | x >> 57 & m7) * 9 & lo
+                t = (s1 & m47) << 17
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = (s3 & m19) << 45 | s3 >> 19 & m45
+                word |= (cut - u & flag) >> shift  # the flag of column c + 64 - shift
+            bits += word.to_bytes(width, "little")
     return bits
 
 
-def _upper_matrices(bits: bytearray, n: int, count: int, stride: int) -> int:
+def _upper_matrices(bits: bytearray, n: int, count: int, stride: int, chunk: int) -> int:
     """Law k's upper triangle as a stride x stride bit matrix from bit
     k * stride^2 on, its row i from i * stride bits further."""
     width = 9 * count  # bytes per word of all lanes; a lane's ninth byte is its guard
     rowbytes = stride // 8
-    pad = bytes((stride - n) * rowbytes)
-    stream = bytearray(len(bits) // width * 8)
-    upper = bytearray()
-    for k in range(count):
-        for b in range(8):  # byte b of each of lane k's words
-            stream[b::8] = bits[9 * k + b::width]
-        at = 0
-        for i in range(n):
-            length = n - 1 - i  # pairs {i, i + 1}, ..., {i, n - 1} from bit `at` on
-            row = int.from_bytes(stream[at >> 3:(at + length + 7) >> 3], "little") >> (at & 7)
-            upper += ((row & ((1 << length) - 1)) << (i + 1)).to_bytes(rowbytes, "little")
-            at += length
-        upper += pad
+    upper = bytearray(count * stride * rowbytes)
+    at = 0  # where the words of rows c.. start in `bits`
+    for c in range(0, n, chunk):  # rows c to c + chunk - 1 all start at chunk c
+        rows = min(n, c + chunk) - c
+        words = len(range(c, n, chunk))  # per row: chunk c's and those after it
+        end = at + rows * words * width
+        for k in range(count):
+            first = (k * stride + c) * rowbytes + c // 8  # lane k's row c at column c
+            for b in range(words * chunk // 8):  # byte b of each of these rows
+                src = at + 9 * k + b // 8 * width + b % 8  # in row c's word b // 8
+                upper[first + b:first + rows * rowbytes:rowbytes] = bits[src:end:words * width]
+        at = end
     return int.from_bytes(upper, "little")
 
 

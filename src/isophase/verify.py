@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import edgegraph, rado, thresholds
 from .edgegraph import ComponentProfile, EdgeGraph
+from .errors import ParameterError
 from .isosearch import Injection, PartialInjection
 from .rng import Xoshiro256StarStar
 
@@ -248,6 +249,8 @@ def run_rado_suite(cases: int = 1000, seed: int = 7) -> SuiteReport:
 
 
 def run_suite(name: str, pairs: int = 10_000, seed: int = 7) -> list[SuiteReport]:
+    if pairs < 1:
+        raise ParameterError(f"the suites need at least 1 pair, got {pairs}")
     if name == "edgegraph":
         return [run_component_suite(pairs, seed)]
     if name == "thresholds":

@@ -66,9 +66,13 @@ def test_sample_equals_the_stream_loop():
             for seed in seeds:
                 law = EdgeLaw(n, p, seed)
                 assert sample_gnp(law).adj == sample_gnp_reference(law).adj, (n, p, seed)
-    for seed in range(4):
-        law = EdgeLaw(128, 0.5, seed)
-        assert sample_gnp(law).adj == sample_gnp_reference(law).adj
+    # Rows from 64 on start at a later word of the row layout; n = 192 to 256
+    # have stride 256, and n = 257 (stride 512) has a block of one row, its
+    # last, which holds no pair.
+    for n in (128, 192, 255, 256, 257):
+        for seed in range(4):
+            law = EdgeLaw(n, 0.5, seed)
+            assert sample_gnp(law).adj == sample_gnp_reference(law).adj, (n, seed)
 
 
 def _edge_p(n: int, seed: int) -> float:
@@ -82,17 +86,18 @@ def _edge_p(n: int, seed: int) -> float:
 
 def test_many_equals_the_stream_loop_lane_by_lane():
     # Each lane has its own p and seed; n crosses the smallest row stride of
-    # 8 bits, the 64 pairs of a packed word and the padding of n to a power
+    # 8 bits, the 64 columns of a row's word and the padding of n to a power
     # of two.  A lane is 72 bits wide, so every bit that the state's shifts
     # and rotations move past its top or bottom lands in a neighbour unless
     # its mask drops it.  Every other lane draws at an edge p (`_edge_p`), so
     # that even a change to a draw's low bits, which the comparison with p
     # reads only through their carry, flips an edge; the others take the
-    # edge-case p values.  The reference costs most at n = 129, so fewer lanes.
+    # edge-case p values.  The reference costs most at n = 129 and 257, so
+    # fewer lanes.
     ps = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.37, 0.5)
     seeds = (0, 1, -1, -(2**70), 2**64, 2**100 + 3, 123456789)
     sizes = {n: 130 for n in range(13)}
-    sizes.update({63: 65, 64: 65, 65: 65, 128: 65, 129: 2})
+    sizes.update({63: 65, 64: 65, 65: 65, 128: 65, 129: 2, 257: 2})
     for n, most in sizes.items():
         laws = []
         for k in range(most):

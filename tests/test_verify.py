@@ -1,4 +1,7 @@
+import pytest
+
 from isophase.edgegraph import build_common_edge_graph, build_embedding_edge_graph, classify_components
+from isophase.errors import ParameterError
 from isophase.isosearch import Injection, PartialInjection
 from isophase.verify import (
     check_partial_pair,
@@ -26,6 +29,14 @@ def test_run_suite_all():
     assert all(rep.ok for rep in reports)
     names = {rep.name for rep in reports}
     assert names == {"edgegraph", "thresholds", "rado"}
+
+
+@pytest.mark.parametrize("name", ["edgegraph", "thresholds", "rado", "all"])
+@pytest.mark.parametrize("pairs", [0, -2])
+def test_run_suite_rejects_fewer_than_one_pair(name, pairs):
+    # Zero or negative pairs would run no edgegraph case and still report ok.
+    with pytest.raises(ParameterError, match=f"at least 1 pair, got {pairs}$"):
+        run_suite(name, pairs=pairs)
 
 
 def test_checks_on_hand_built_pairs():
