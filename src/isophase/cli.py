@@ -69,14 +69,14 @@ def _load_or_sample(args, prefix: str) -> Graph:
     seed = getattr(args, f"{prefix}_seed")
     if n is None:
         raise IsophaseError(f"give --{prefix} FILE or --{prefix}-n/--{prefix}-p/--{prefix}-seed")
-    return sample_gnp(EdgeLaw(n, p, seed))
+    return sample_gnp(EdgeLaw(n, 0.5 if p is None else p, 0 if seed is None else seed))
 
 
 def _add_graph_source(parser: argparse.ArgumentParser, prefix: str, role: str) -> None:
     parser.add_argument(f"--{prefix}", metavar="FILE", help=f"{role} graph file")
     parser.add_argument(f"--{prefix}-n", type=int, help=f"sample the {role} on this many vertices")
-    parser.add_argument(f"--{prefix}-p", type=float, default=0.5, help=f"{role} edge probability")
-    parser.add_argument(f"--{prefix}-seed", type=int, default=0, help=f"{role} sample seed")
+    parser.add_argument(f"--{prefix}-p", type=float, help=f"{role} edge probability (default 0.5)")
+    parser.add_argument(f"--{prefix}-seed", type=int, help=f"{role} sample seed (default 0)")
 
 
 def cmd_sample(args) -> int:
@@ -131,9 +131,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_common(args) -> int:
-    if args.max and (args.count or args.m is not None):
-        raise InvalidInputError("--max searches for the largest size; --count and --m do "
-                                "not apply to it")
     x = _load_or_sample(args, "x")
     y = _load_or_sample(args, "y")
     payload: dict = {"n": x.n, "budget": args.budget}
@@ -178,9 +175,6 @@ def cmd_region(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.decompose and (args.variant == "embed" or args.first_only):
-        raise InvalidInputError("--decompose splits the common-subgraph ratio; it does not "
-                                "apply with --variant embed or --first-only")
     params = thresholds.derive_params(args.p, args.q)
     variant = edgegraph.EMBEDDING if args.variant == "embed" else edgegraph.COMMON
     n, m = args.n, args.m
@@ -198,15 +192,16 @@ def cmd_moments(args) -> int:
         "expected": {"log": log_en, "value": moments.float_exp(log_en, "E N")},
     }
     if not args.first_only:
+        c = 0.75 if args.c is None else args.c
         en2 = moments.second_moment_exact(n, m, params, variant)
         ratio = moments.second_moment_ratio(n, m, params, variant)
         payload["second_moment"] = {"log": math.log(en2), "value": en2}
         payload["ratio"] = {"log": math.log(ratio), "value": ratio}
         if variant == edgegraph.EMBEDDING:
-            bounds = moments.s_bound(n, m, args.p, args.c, "exact")
+            bounds = moments.s_bound(n, m, args.p, c, "exact")
             payload["s_bound"] = asdict(bounds)
         elif args.decompose:
-            dec = moments.ratio_decomposition(n, m, params, args.c)
+            dec = moments.ratio_decomposition(n, m, params, c)
             payload["decomposition"] = _fields(dec, "c", "by_dr")
     _emit(payload, args.json)
     return EXIT_OK
@@ -286,12 +281,43 @@ def cmd_rado(args) -> int:
         s = rado.ackermann_decode(_parse_int(args.args[0], "rado decode code"))
         _emit({"code": args.args[0], "set": repr(s)}, args.json)
         return EXIT_OK
-    u_set = {_parse_int(v, "--adjacent entry") for v in args.adjacent.split(",") if v != ""}
-    v_set = {_parse_int(v, "--nonadjacent entry") for v in args.nonadjacent.split(",") if v != ""}
+    u_set = {_parse_int(v, "--adjacent entry") for v in (args.adjacent or "").split(",") if v}
+    v_set = {_parse_int(v, "--nonadjacent entry")
+             for v in (args.nonadjacent or "").split(",") if v}
     z = _printable(rado.extension_witness(u_set, v_set), "the witness")
     _emit({"adjacent_to": sorted(u_set), "nonadjacent_to": sorted(v_set), "witness": str(z)},
           args.json)
     return EXIT_OK
+
+
+def _file_mode(prefix: str, role: str) -> tuple:
+    flags = (f"{prefix}_n", f"{prefix}_p", f"{prefix}_seed")
+    return (lambda a: getattr(a, prefix) is not None, flags,
+            f"--{prefix}-n, --{prefix}-p and --{prefix}-seed sample the {role} graph; they do "
+            f"not apply with --{prefix} FILE")
+
+
+# The flags a mode of a subcommand leaves unread, as (mode, flags, why); every
+# other flag is read in every mode.  main rejects a given unread flag with
+# `why` before any work starts, so each of these flags defaults to None.
+UNREAD = {
+    "embed": [_file_mode("pattern", "pattern"), _file_mode("host", "host")],
+    "common": [
+        _file_mode("x", "first"),
+        _file_mode("y", "second"),
+        (lambda a: a.max, ("count", "m"),
+         "--max searches for the largest size; --count and --m do not apply to it"),
+    ],
+    "moments": [
+        (lambda a: a.variant == "embed" or a.first_only, ("decompose",),
+         "--decompose splits the common-subgraph ratio; it does not apply with "
+         "--variant embed or --first-only"),
+        (lambda a: a.first_only or not (a.variant == "embed" or a.decompose), ("c",),
+         "--c splits the embedding s_bound and the --decompose ratio; nothing else reads it"),
+    ],
+    "rado": [(lambda a: a.action != "witness", ("adjacent", "nonadjacent"),
+              "--adjacent and --nonadjacent constrain rado witness; no other action reads them")],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(sp, "x", "first")
     _add_graph_source(sp, "y", "second")
     sp.add_argument("--m", type=int, help="target subgraph size (default 1)")
-    sp.add_argument("--count", action="store_true")
+    sp.add_argument("--count", action="store_true", default=None)
     sp.add_argument("--max", action="store_true", help="find the maximum size")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--json", action="store_true")
@@ -346,16 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--q", type=float, default=0.5)
     sp.add_argument("--variant", choices=("embed", "common"), default="common")
-    sp.add_argument("--c", type=float, default=0.75, help="split constant")
+    sp.add_argument("--c", type=float, help="s_bound and --decompose split (default 0.75)")
     sp.add_argument("--first-only", action="store_true", help="skip the pair census")
-    sp.add_argument("--decompose", action="store_true", help="per-class ratio breakdown")
+    sp.add_argument("--decompose", action="store_true", default=None,
+                    help="per-class ratio breakdown")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("verify", help="run the randomized identity suites")
     sp.add_argument("--suite", choices=("edgegraph", "thresholds", "rado", "all"),
                     default="all")
-    sp.add_argument("--pairs", type=int, default=10_000)
+    sp.add_argument("--pairs", type=int, default=10_000,
+                    help="cases per suite: edgegraph 2 x pairs (a total and a partial pair), "
+                         "thresholds 2 x max(10, pairs // 25), "
+                         "rado 3 x max(10, min(pairs, 10000))")
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
@@ -367,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rado", help="universal-graph queries")
     sp.add_argument("action", choices=tuple(RADO_ARITY))
     sp.add_argument("args", nargs="*")
-    sp.add_argument("--adjacent", default="", help="comma list for witness")
-    sp.add_argument("--nonadjacent", default="", help="comma list for witness")
+    sp.add_argument("--adjacent", help="comma list for witness")
+    sp.add_argument("--nonadjacent", help="comma list for witness")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_rado)
 
@@ -382,6 +412,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        for unread_in, flags, why in UNREAD.get(args.command, ()):
+            if unread_in(args) and any(getattr(args, flag) is not None for flag in flags):
+                raise InvalidInputError(why)
         return args.func(args)
     except (IsophaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,11 +210,13 @@ def bound_H_drl(n: int, m: int, d: int, r: int, ell: int) -> int:
 # ---------------------------------------------------------------------------
 # census of pair graphs over all ordered map pairs (shared, (p,q)-independent)
 
-# A census reads each orbit class's entry in 40-120 us on a 2-core x86-64
-# host and admits at most CLASS_BOUND // max(1, C(m, 2)) classes, the rule
-# of the pair graphs it once built: common n = 18, m = 13 (104,640 classes)
-# takes 13 s, common m = 12 (76,705) 7.6 s, embedding m = 21 (35,002) 3.1 s.
-CLASS_BOUND = 10**7
+# A census reads each orbit class's entry in about 40-70 us on a 2-core
+# x86-64 host and admits at most CLASS_BOUND classes, whose number depends on
+# m alone once n >= 2m.  The largest admitted censuses are embedding m = 25
+# (129,512 classes, 8.5 s) and common n = 19, m = 13 (125,565, 7.2 s);
+# embedding m = 26 (177,087) and common m = 13 at n >= 20 (137,750 and up)
+# are refused.
+CLASS_BOUND = 130_000
 
 # Chain tags (start hit from outside [m], end outside g's domain).  A partner
 # of a total injection has its whole domain in [m], so every chain starts
@@ -315,17 +317,16 @@ def _census(
     """Census of all ordered pairs of maps of `variant`: bucket by (r, ell)
     for embedding, (d, r) for common -> {(signature, components): count}.
 
-    It needs 0 <= m <= n, at most CLASS_BOUND // C(m, 2) orbit classes,
-    counted before any entry is read, and a pair space within the float
+    It needs 0 <= m <= n, at most CLASS_BOUND orbit classes, counted
+    before any entry is read, and a pair space within the float
     range.  The pairs (identity, g) with g in one class have isomorphic
     pair graphs, so each class's entry counts its size times |maps|.
     """
     _, count_maps, _ = _variant(variant)
     _check_sizes(n, m)
-    most = CLASS_BOUND // max(1, binom(m, 2))
-    classes = list(islice(_classes(n, m, variant), most + 1))
-    if len(classes) > most:
-        raise ScaleError(f"the census of n={n}, m={m} has more than {most} orbit classes")
+    classes = list(islice(_classes(n, m, variant), CLASS_BOUND + 1))
+    if len(classes) > CLASS_BOUND:
+        raise ScaleError(f"the census of n={n}, m={m} has more than {CLASS_BOUND} orbit classes")
     maps = count_maps(n, m)
     if maps**2 > sys.float_info.max:
         raise ScaleError(f"the pair space of n={n}, m={m} exceeds the float range")
@@ -356,7 +357,8 @@ def _lgamma_binom(n: int, m: int) -> float:
 
 
 def expected_log(n: int, m: int, params: ModelParams, variant: str) -> float:
-    """log E N of `variant`."""
+    """log E N of `variant`; the embedding variant needs q = 1/2."""
+    edgegraph.check_variant(variant, params.q)
     return _variant(variant)[0](n, m, params)
 
 

@@ -67,13 +67,11 @@ GRAPH_TEXT = st.sampled_from([
 
 
 def graph_source(prefix, max_n):
-    sampled = cat(
-        req(f"--{prefix}-n", ints(-1, max_n)),
-        opt(f"--{prefix}-p", probs()),
-        opt(f"--{prefix}-seed", ints(-2, 50)),
-    )
+    """Sampling flags, a FILE, or a FILE with sampling flags it does not read."""
+    n = req(f"--{prefix}-n", ints(-1, max_n))
+    p_seed = cat(opt(f"--{prefix}-p", probs()), opt(f"--{prefix}-seed", ints(-2, 50)))
     from_file = GRAPH_TEXT.map(lambda text: [f"--{prefix}", ("file", text)])
-    return sampled | from_file
+    return cat(n, p_seed) | from_file | cat(from_file, st.just([]) | n, p_seed)
 
 
 BUDGET = opt("--budget", ints(-1, 10**4))
@@ -154,16 +152,17 @@ EXPERIMENT = cat(
 SET_LITERAL = st.sampled_from(
     ["{}", "{{},{{}}}", "{{", "{}}", "{{}", "{" * 7 + "}" * 7, "{" * 9 + "}" * 9]
 )
+# Every action draws the witness's constraint lists, which only witness reads.
+CONSTRAINTS = cat(
+    opt("--adjacent", st.sampled_from(["", "0,1", "1,x", "-1", "3,,4", "2", "20000"])),
+    opt("--nonadjacent", st.sampled_from(["", "2", "1", "a", "5,6"])),
+)
 RADO = st.one_of(
     cat(st.just(["rado", "adjacent"]), st.tuples(ints(-2, 40), ints(-2, 40)).map(list)),
     cat(st.just(["rado", "encode"]), SET_LITERAL.map(lambda text: [text])),
     cat(st.just(["rado", "decode"]), ints(-2, 10**6).map(lambda text: [text])),
-    cat(
-        st.just(["rado", "witness"]),
-        opt("--adjacent", st.sampled_from(["", "0,1", "1,x", "-1", "3,,4", "2", "20000"])),
-        opt("--nonadjacent", st.sampled_from(["", "2", "1", "a", "5,6"])),
-    ),
-).flatmap(lambda argv: flag("--json").map(lambda tail: argv + tail))
+    st.just(["rado", "witness"]),
+).flatmap(lambda argv: cat(CONSTRAINTS, flag("--json")).map(lambda tail: argv + tail))
 
 NOISE = st.lists(st.sampled_from(["frobnicate", "--help", "-h", "--json", "embed", "--n", "3"]),
                  max_size=3)

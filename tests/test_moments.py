@@ -215,6 +215,14 @@ def test_second_moment_guard_and_variant_checks(monkeypatch):
         second_moment_exact(4, 2, derive_params(0.5, 0.5), "nope")
 
 
+def test_first_moment_checks_the_embedding_host_law():
+    # E N of the embedding variant is that of a G(n, 1/2) host, as is E N^2.
+    with pytest.raises(ParameterError, match="q = 1/2"):
+        moments.expected_log(5, 2, derive_params(0.5, 0.3), "embedding")
+    assert moments.expected_log(5, 2, derive_params(0.5, 0.3), "common") == pytest.approx(
+        moments.expected_common_log(5, 2, derive_params(0.5, 0.3)))
+
+
 HALF = derive_params(0.5, 0.5)
 
 
@@ -537,6 +545,23 @@ def test_census_cost_does_not_depend_on_n(monkeypatch, variant, m):
 def test_second_moment_ratio_at_the_threshold(variant, n, m, ratio):
     # E N^2/(E N)^2 where no reference census can run, at p = q = 1/2.
     assert second_moment_ratio(n, m, HALF, variant) == pytest.approx(ratio, rel=1e-3)
+
+
+class _PastTheBound(Exception):
+    pass
+
+
+@pytest.mark.parametrize("variant, n, m", [("embedding", 64, 25), ("common", 19, 13)])
+def test_census_class_bound_is_one_flat_count(monkeypatch, variant, n, m):
+    # Their 129,512 and 125,565 classes are within the 130,000 of CLASS_BOUND
+    # whatever m is, so the census goes on to read the entries.
+    def past_the_bound(*args):
+        raise _PastTheBound
+
+    monkeypatch.setattr(moments, "_class_entry", past_the_bound)
+    moments._census.cache_clear()
+    with pytest.raises(_PastTheBound):
+        second_moment_exact(n, m, HALF, variant)
 
 
 def test_census_class_bound_stops_before_building(monkeypatch):
